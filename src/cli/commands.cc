@@ -16,7 +16,6 @@
 #include "core/planner.h"
 #include "core/pm_arest.h"
 #include "core/retry_policy.h"
-#include "defense/detector.h"
 #include "graph/datasets.h"
 #include "graph/format.h"
 #include "graph/generators.h"

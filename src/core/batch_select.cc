@@ -6,12 +6,16 @@
 #include <future>
 #include <queue>
 
+#include "core/lazy_greedy.h"
 #include "util/numa.h"
 #include "util/timer.h"
 
 namespace recon::core {
 
 using graph::NodeId;
+using detail::HeapEntry;
+using detail::lazy_pick_loop;
+using detail::ranks_before;
 
 std::vector<std::size_t> plan_score_shards(const std::vector<double>& work,
                                            std::size_t parties,
@@ -60,28 +64,6 @@ std::vector<NodeId> batch_candidates(const sim::Observation& obs, bool allow_ret
 
 namespace {
 
-struct HeapEntry {
-  double score;
-  NodeId node;  ///< current (possibly relabeled) id, used for scoring
-  NodeId rank;  ///< original pre-relabeling id (Graph::orig_id), used for ties
-  std::uint32_t stamp;  ///< batch size when the score was computed
-
-  bool operator<(const HeapEntry& o) const noexcept {
-    if (score != o.score) return score < o.score;
-    return rank > o.rank;  // deterministic tie-break: lower original id wins
-  }
-};
-
-/// Strict total order used everywhere a "best candidate" is chosen: higher
-/// score first, lower *original* node id on ties. Tie-breaking on orig_id
-/// (identity for never-relabeled graphs) makes the selected batch invariant
-/// under vertex relabelings such as the degree-sorted binary layout. Agrees
-/// with HeapEntry::operator<.
-inline bool ranks_before(const HeapEntry& a, const HeapEntry& b) noexcept {
-  if (a.score != b.score) return a.score > b.score;
-  return a.rank < b.rank;
-}
-
 /// One shard of the parallel frontier: the worker's top-k entries sorted by
 /// ranks_before (the merged frontier reads these through a cursor), plus the
 /// unsorted overflow, sorted lazily in the rare case the head runs dry
@@ -105,42 +87,6 @@ struct CursorRef {
     return rank > o.rank;
   }
 };
-
-/// Shared lazy-greedy pick loop. `frontier` must behave like the single
-/// priority queue of the sequential algorithm: pop_best removes and returns
-/// the maximum by (score, original node id), best_score peeks at the new
-/// maximum. Because (score, orig id) is a strict total order, any frontier
-/// organization with these two operations yields a bit-identical selection sequence.
-template <typename Frontier, typename ScoreFn>
-std::vector<NodeId> lazy_pick_loop(const sim::Observation& obs,
-                                   const BatchSelectOptions& options,
-                                   BatchState& state, double budget,
-                                   Frontier& frontier, const ScoreFn& score_of) {
-  const auto& problem = obs.problem();
-  std::vector<NodeId> batch;
-  batch.reserve(static_cast<std::size_t>(options.batch_size));
-  while (batch.size() < static_cast<std::size_t>(options.batch_size) &&
-         !frontier.empty()) {
-    HeapEntry top = frontier.pop_best();
-    if (problem.cost_of(top.node) > budget) continue;  // permanently unaffordable
-    const auto cur = static_cast<std::uint32_t>(batch.size());
-    if (top.stamp != cur) {
-      top.score = score_of(top.node);
-      top.stamp = cur;
-      if (top.score <= 0.0) continue;
-      // Re-push unless it still (weakly) dominates the next-best entry.
-      if (!frontier.empty() && top.score < frontier.best_score()) {
-        frontier.repush(top);
-        continue;
-      }
-    }
-    const NodeId u = top.node;
-    state.select(obs, u, obs.acceptance_prob(u));
-    budget -= problem.cost_of(u);
-    batch.push_back(u);
-  }
-  return batch;
-}
 
 /// The sequential frontier: a plain binary heap.
 class HeapFrontier {
@@ -380,7 +326,7 @@ std::vector<NodeId> batch_select(const sim::Observation& obs,
                             total_work);
 
     MergedFrontier frontier(std::move(shards));
-    return lazy_pick_loop(obs, options, state, budget, frontier, score_of);
+    return lazy_pick_loop(obs, options.batch_size, state, budget, frontier, score_of);
   }
 
   // Sequential lazy greedy.
@@ -389,7 +335,7 @@ std::vector<NodeId> batch_select(const sim::Observation& obs,
     const double s = score_of(u);
     if (s > 0.0) frontier.push({s, u, problem.graph.orig_id(u), 0});
   }
-  return lazy_pick_loop(obs, options, state, budget, frontier, score_of);
+  return lazy_pick_loop(obs, options.batch_size, state, budget, frontier, score_of);
 }
 
 }  // namespace recon::core

@@ -192,7 +192,8 @@ int PmArest::draw_batch_size() {
 }
 
 void PmArest::sync_cache(const sim::Observation& obs) {
-  if (cache_ == nullptr || cache_obs_ != &obs) {
+  const bool fresh = cache_ == nullptr || cache_obs_ != &obs;
+  if (fresh) {
     cache_ = std::make_unique<CachedSelector>(obs, options_.policy,
                                               options_.cost_sensitive,
                                               options_.pool);
@@ -218,17 +219,29 @@ void PmArest::sync_cache(const sim::Observation& obs) {
       has_restored_cache_ = false;
     }
   }
-  const NodeId n = obs.problem().graph.num_nodes();
-  for (NodeId u = 0; u < n; ++u) {
+  const auto diff = [&](NodeId u) {
     const std::uint32_t a = obs.attempts(u);
-    if (a == last_attempts_[u]) continue;
+    if (a == last_attempts_[u]) return;
     last_attempts_[u] = a;
     if (obs.is_friend(u)) {
       cache_->notify_accept(u);
     } else {
       cache_->notify_reject(u);
     }
+  };
+  const auto touched = obs.touched_nodes();
+  if (fresh || journal_generation_ != obs.journal_generation() ||
+      journal_pos_ > touched.size()) {
+    // New cache or a restored observation: one scan over every counter.
+    const NodeId n = obs.problem().graph.num_nodes();
+    for (NodeId u = 0; u < n; ++u) diff(u);
+  } else {
+    // Only nodes the observation journaled since the last sync can have
+    // moved; repeated entries diff to no-ops.
+    for (std::size_t i = journal_pos_; i < touched.size(); ++i) diff(touched[i]);
   }
+  journal_pos_ = touched.size();
+  journal_generation_ = obs.journal_generation();
 }
 
 std::vector<NodeId> PmArest::planned_batch(const sim::Observation& obs,

@@ -90,7 +90,9 @@ class PmArest : public Strategy {
   std::vector<graph::NodeId> planned_batch(const sim::Observation& obs,
                                            double remaining_budget, int k);
   /// Diffs the observation against the last-seen attempt counters and feeds
-  /// accept/reject notifications into the cached selector.
+  /// accept/reject notifications into the cached selector. Only the nodes
+  /// the observation journaled since the previous sync are diffed; a fresh
+  /// cache or a restored observation takes one full scan.
   void sync_cache(const sim::Observation& obs);
 
   // lint:ckpt-coverage-ok(construction-time config; the harness rebuilds the
@@ -112,6 +114,13 @@ class PmArest : public Strategy {
   // restored_attempts_, which sync_cache applies when it rebuilds the
   // selector on the first post-resume batch)
   std::vector<std::uint32_t> last_attempts_;
+  // lint:ckpt-coverage-ok(read cursor into the observation's touched-node
+  // journal, only meaningful within one process lifetime; a rebuilt cache
+  // re-diffs every counter)
+  std::size_t journal_pos_ = 0;
+  // lint:ckpt-coverage-ok(journal generation paired with journal_pos_;
+  // transient for the same reason)
+  std::uint64_t journal_generation_ = 0;
   /// Cache section parsed out of a checkpoint blob, held until sync_cache
   /// rebuilds the selector and can apply it: sparse (node, attempts) pairs
   /// for last_attempts_ and the accounting-dirty node set.

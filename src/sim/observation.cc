@@ -24,6 +24,7 @@ Observation::Observation(const Problem& problem) : problem_(&problem) {
 BenefitBreakdown Observation::record_reject(NodeId u) {
   if (is_friend_[u]) throw std::logic_error("record_reject: u is already a friend");
   ++attempts_[u];
+  touched_.push_back(u);
   node_state_[u] = NodeState::kRejected;
   return {};
 }
@@ -33,6 +34,7 @@ void Observation::record_no_response(NodeId u) {
     throw std::logic_error("record_no_response: u is already a friend");
   }
   ++attempts_[u];
+  touched_.push_back(u);
 }
 
 void Observation::set_retry_after(NodeId u, double until) {
@@ -56,6 +58,7 @@ BenefitBreakdown Observation::record_accept(NodeId u,
                                             std::span<const NodeId> true_neighbors) {
   if (is_friend_[u]) throw std::logic_error("record_accept: u is already a friend");
   ++attempts_[u];
+  touched_.push_back(u);
   node_state_[u] = NodeState::kAccepted;
   is_friend_[u] = 1;
   friends_.push_back(u);
@@ -156,6 +159,8 @@ void Observation::restore(std::span<const NodeState> node_states,
   benefit_ = recompute_benefit();
   retry_after_.clear();
   clock_ = 0.0;
+  touched_.clear();
+  ++journal_generation_;
 }
 
 void Observation::restore_benefit(const BenefitBreakdown& exact) {

@@ -115,6 +115,17 @@ class Observation {
   BenefitBreakdown record_accept(graph::NodeId u,
                                  std::span<const graph::NodeId> true_neighbors);
 
+  /// Journal of the nodes whose attempt counter moved: one entry per
+  /// record_accept / record_reject / record_no_response call, in call order.
+  /// Consumers that mirror per-node state keep a read cursor into it and
+  /// diff only the entries past that cursor, instead of scanning all nodes.
+  std::span<const graph::NodeId> touched_nodes() const noexcept { return touched_; }
+
+  /// Bumped by restore(), which rewrites every counter without journaling
+  /// and clears the journal: a cursor from another generation is invalid
+  /// and its holder must rescan every node.
+  std::uint64_t journal_generation() const noexcept { return journal_generation_; }
+
   /// Total benefit accumulated so far.
   const BenefitBreakdown& benefit() const noexcept { return benefit_; }
 
@@ -152,6 +163,8 @@ class Observation {
   std::vector<graph::NodeId> friends_;
   BenefitBreakdown benefit_;
   std::vector<double> retry_after_;  ///< lazily allocated cooldown deadlines
+  std::vector<graph::NodeId> touched_;
+  std::uint64_t journal_generation_ = 0;
   double clock_ = 0.0;
 };
 

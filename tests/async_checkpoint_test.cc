@@ -19,6 +19,7 @@
 #include "graph/generators.h"
 #include "sim/fault.h"
 #include "sim/problem.h"
+#include "test_scratch.h"
 
 namespace recon::core {
 namespace {
@@ -61,7 +62,7 @@ void expect_traces_equal(const sim::AttackTrace& a, const sim::AttackTrace& b) {
 }
 
 struct TempFile {
-  explicit TempFile(const std::string& name) : path("/tmp/" + name) {}
+  explicit TempFile(const std::string& name) : path(recon::test::scratch_path(name)) {}
   ~TempFile() { std::remove(path.c_str()); }
   std::string path;
 };
@@ -186,7 +187,9 @@ void check_resume_bit_identical(GraphKind kind, int window) {
   // window, or the in-flight serialization went untested. (W = 1 snapshots
   // always land between a resolution and the next send, so nothing is ever
   // outstanding there.)
-  if (window > 1) EXPECT_TRUE(saw_outstanding) << "W=" << window;
+  if (window > 1) {
+    EXPECT_TRUE(saw_outstanding) << "W=" << window;
+  }
 }
 
 TEST(AsyncCheckpoint, ResumeBitIdenticalWindowOneBA) {

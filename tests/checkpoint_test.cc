@@ -17,6 +17,7 @@
 #include "graph/generators.h"
 #include "sim/fault.h"
 #include "sim/problem.h"
+#include "test_scratch.h"
 
 namespace recon::core {
 namespace {
@@ -50,7 +51,7 @@ void expect_traces_equal(const sim::AttackTrace& a, const sim::AttackTrace& b) {
 }
 
 struct TempFile {
-  explicit TempFile(const std::string& name) : path("/tmp/" + name) {}
+  explicit TempFile(const std::string& name) : path(recon::test::scratch_path(name)) {}
   ~TempFile() { std::remove(path.c_str()); }
   std::string path;
 };
@@ -289,7 +290,8 @@ TEST(Checkpoint, TruncatedOrCorruptFilesAreRejected) {
                                 good.substr(good.find('\n') + 1));
   EXPECT_THROW(read_checkpoint(bad_header), std::runtime_error);
   // Missing file.
-  EXPECT_THROW(read_checkpoint_file("/tmp/recon_ckpt_does_not_exist.ckpt"),
+  EXPECT_THROW(
+      read_checkpoint_file(recon::test::scratch_path("recon_ckpt_does_not_exist.ckpt")),
                std::runtime_error);
 }
 

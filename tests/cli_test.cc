@@ -7,9 +7,12 @@
 #include "cli/commands.h"
 #include "graph/io.h"
 #include "sim/trace_io.h"
+#include "test_scratch.h"
 
 namespace recon::cli {
 namespace {
+
+using recon::test::scratch_path;
 
 int run(std::initializer_list<const char*> argv, std::string* out_text = nullptr,
         std::string* err_text = nullptr) {
@@ -34,7 +37,7 @@ TEST(Cli, HelpAndUnknownCommand) {
 }
 
 TEST(Cli, GenerateWritesGraph) {
-  const std::string path = "/tmp/recon_cli_test_g.txt";
+  const std::string path = scratch_path("recon_cli_test_g.txt");
   std::string out;
   ASSERT_EQ(run({"generate", "--model", "ws", "--nodes", "100", "--k", "4",
                  "--out", path.c_str(), "--seed", "5"},
@@ -48,7 +51,7 @@ TEST(Cli, GenerateWritesGraph) {
 
 TEST(Cli, GenerateEveryModel) {
   for (const char* model : {"ba", "ws", "er", "sbm", "powerlaw"}) {
-    const std::string path = std::string("/tmp/recon_cli_") + model + ".txt";
+    const std::string path = scratch_path(std::string("recon_cli_") + model + ".txt");
     EXPECT_EQ(run({"generate", "--model", model, "--nodes", "80", "--out",
                    path.c_str()}),
               0)
@@ -58,18 +61,20 @@ TEST(Cli, GenerateEveryModel) {
 
 TEST(Cli, GenerateRejectsBadInput) {
   std::string err;
-  EXPECT_EQ(run({"generate", "--model", "nope", "--out", "/tmp/x.txt"}, nullptr, &err),
+  EXPECT_EQ(run({"generate", "--model", "nope", "--out", scratch_path("x.txt").c_str()},
+                nullptr, &err),
             1);
   EXPECT_NE(err.find("unknown --model"), std::string::npos);
   EXPECT_EQ(run({"generate", "--model", "ba"}, nullptr, &err), 1);  // no --out
-  EXPECT_EQ(run({"generate", "--model", "ba", "--probs", "nah", "--out", "/tmp/x.txt"},
+  EXPECT_EQ(run({"generate", "--model", "ba", "--probs", "nah", "--out",
+                 scratch_path("x.txt").c_str()},
                 nullptr, &err),
             1);
 }
 
 TEST(Cli, AttackMetricsPipeline) {
-  const std::string graph_path = "/tmp/recon_cli_pipe_g.txt";
-  const std::string trace_path = "/tmp/recon_cli_pipe_t.traces";
+  const std::string graph_path = scratch_path("recon_cli_pipe_g.txt");
+  const std::string trace_path = scratch_path("recon_cli_pipe_t.traces");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "200", "--m", "4", "--out",
                  graph_path.c_str()}),
             0);
@@ -91,7 +96,7 @@ TEST(Cli, AttackMetricsPipeline) {
 }
 
 TEST(Cli, AttackEveryStrategy) {
-  const std::string graph_path = "/tmp/recon_cli_strat_g.txt";
+  const std::string graph_path = scratch_path("recon_cli_strat_g.txt");
   ASSERT_EQ(run({"generate", "--model", "er", "--nodes", "60", "--edges", "150",
                  "--out", graph_path.c_str()}),
             0);
@@ -111,7 +116,7 @@ TEST(Cli, AttackRejectsBadInput) {
   std::string err;
   EXPECT_EQ(run({"attack"}, nullptr, &err), 1);  // no graph
   EXPECT_EQ(run({"attack", "--graph", "/nonexistent.txt"}, nullptr, &err), 1);
-  const std::string graph_path = "/tmp/recon_cli_bad_g.txt";
+  const std::string graph_path = scratch_path("recon_cli_bad_g.txt");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "60", "--out",
                  graph_path.c_str()}),
             0);
@@ -124,7 +129,7 @@ TEST(Cli, AttackRejectsBadInput) {
 }
 
 TEST(Cli, AttackRejectsInvalidRobustnessCombos) {
-  const std::string graph_path = "/tmp/recon_cli_combo_g.txt";
+  const std::string graph_path = scratch_path("recon_cli_combo_g.txt");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "60", "--out",
                  graph_path.c_str()}),
             0);
@@ -158,7 +163,8 @@ TEST(Cli, AttackRejectsInvalidRobustnessCombos) {
             1);
   // Checkpoint flags drive a single run.
   EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--checkpoint",
-                 "/tmp/recon_cli_combo.ckpt", "--stop-after", "2", "--runs", "3"},
+                 scratch_path("recon_cli_combo.ckpt").c_str(), "--stop-after", "2",
+                 "--runs", "3"},
                 nullptr, &err),
             1);
   EXPECT_NE(err.find("--runs 1"), std::string::npos);
@@ -169,14 +175,14 @@ TEST(Cli, AttackRejectsInvalidRobustnessCombos) {
             1);
   // Resuming from a missing checkpoint is an error, not a fresh start.
   EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--resume",
-                 "/tmp/recon_cli_no_such.ckpt", "--runs", "1"},
+                 scratch_path("recon_cli_no_such.ckpt").c_str(), "--runs", "1"},
                 nullptr, &err),
             1);
 }
 
 TEST(Cli, AttackWithFaultsReportsOutcomes) {
-  const std::string problem_path = "/tmp/recon_cli_fault.problem";
-  const std::string graph_path = "/tmp/recon_cli_fault_g.txt";
+  const std::string problem_path = scratch_path("recon_cli_fault.problem");
+  const std::string graph_path = scratch_path("recon_cli_fault_g.txt");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "100", "--out",
                  graph_path.c_str()}),
             0);
@@ -203,9 +209,9 @@ TEST(Cli, AttackWithFaultsReportsOutcomes) {
 }
 
 TEST(Cli, CheckpointResumeRoundTrip) {
-  const std::string graph_path = "/tmp/recon_cli_ckpt_g.txt";
-  const std::string problem_path = "/tmp/recon_cli_ckpt.problem";
-  const std::string ckpt_path = "/tmp/recon_cli_ckpt.ckpt";
+  const std::string graph_path = scratch_path("recon_cli_ckpt_g.txt");
+  const std::string problem_path = scratch_path("recon_cli_ckpt.problem");
+  const std::string ckpt_path = scratch_path("recon_cli_ckpt.ckpt");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "100", "--out",
                  graph_path.c_str()}),
             0);
@@ -234,7 +240,7 @@ TEST(Cli, CheckpointResumeRoundTrip) {
 }
 
 TEST(Cli, AsyncAttackReportsMakespan) {
-  const std::string graph_path = "/tmp/recon_cli_async_g.txt";
+  const std::string graph_path = scratch_path("recon_cli_async_g.txt");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "100", "--out",
                  graph_path.c_str()}),
             0);
@@ -255,16 +261,16 @@ TEST(Cli, AsyncAttackReportsMakespan) {
   EXPECT_NE(err.find("--delay-model"), std::string::npos);
   // Checkpoint flags demand a single run, like the synchronous path.
   EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--async",
-                 "--checkpoint", "/tmp/recon_cli_async_bad.ckpt"},
+                 "--checkpoint", scratch_path("recon_cli_async_bad.ckpt").c_str()},
                 nullptr, &err),
             1);
   EXPECT_NE(err.find("--runs 1"), std::string::npos);
 }
 
 TEST(Cli, AsyncCheckpointResumeRoundTrip) {
-  const std::string graph_path = "/tmp/recon_cli_async_ckpt_g.txt";
-  const std::string problem_path = "/tmp/recon_cli_async_ckpt.problem";
-  const std::string ckpt_path = "/tmp/recon_cli_async_ckpt.ckpt";
+  const std::string graph_path = scratch_path("recon_cli_async_ckpt_g.txt");
+  const std::string problem_path = scratch_path("recon_cli_async_ckpt.problem");
+  const std::string ckpt_path = scratch_path("recon_cli_async_ckpt.ckpt");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "100", "--out",
                  graph_path.c_str()}),
             0);
@@ -300,7 +306,7 @@ TEST(Cli, AsyncCheckpointResumeRoundTrip) {
 }
 
 TEST(Cli, AttackFallbackStrategyRuns) {
-  const std::string graph_path = "/tmp/recon_cli_fb_g.txt";
+  const std::string graph_path = scratch_path("recon_cli_fb_g.txt");
   ASSERT_EQ(run({"generate", "--model", "er", "--nodes", "50", "--edges", "120",
                  "--out", graph_path.c_str()}),
             0);
@@ -317,8 +323,8 @@ TEST(Cli, AttackFallbackStrategyRuns) {
 }
 
 TEST(Cli, SaveAndReuseProblem) {
-  const std::string graph_path = "/tmp/recon_cli_prob_g.txt";
-  const std::string problem_path = "/tmp/recon_cli_prob.problem";
+  const std::string graph_path = scratch_path("recon_cli_prob_g.txt");
+  const std::string problem_path = scratch_path("recon_cli_prob.problem");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "120", "--out",
                  graph_path.c_str()}),
             0);
@@ -350,7 +356,7 @@ TEST(Cli, MetricsRejectsBadInput) {
 }
 
 TEST(Cli, AuditListsMonitors) {
-  const std::string graph_path = "/tmp/recon_cli_audit_g.txt";
+  const std::string graph_path = scratch_path("recon_cli_audit_g.txt");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "150", "--out",
                  graph_path.c_str()}),
             0);

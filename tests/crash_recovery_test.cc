@@ -36,6 +36,7 @@
 #include "util/crashpoint.h"
 #include "util/fs.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace recon::core {
 namespace {
@@ -59,8 +60,8 @@ Problem test_problem(int seed) {
 /// destruction — chain files, quarantines, and tmp leftovers included.
 struct TempDir {
   TempDir() {
-    char tmpl[] = "/tmp/recon_crash_XXXXXX";
-    const char* p = ::mkdtemp(tmpl);
+    std::string tmpl = recon::test::scratch_path("recon_crash_XXXXXX");
+    const char* p = ::mkdtemp(tmpl.data());
     if (p == nullptr) throw std::runtime_error("mkdtemp failed");
     path = p;
   }

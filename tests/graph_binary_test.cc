@@ -25,12 +25,13 @@
 #include "sim/problem.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace recon::graph {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return "/tmp/recon_graph_binary_test_" + name;
+  return recon::test::scratch_path("recon_graph_binary_test_" + name);
 }
 
 /// A small graph with a distinctive degree profile and dyadic-exact edge

@@ -21,6 +21,7 @@
 #include "solver/fallback.h"
 #include "solver/strategy_mip.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace recon::core {
 namespace {
@@ -106,7 +107,7 @@ PlannerOptions fixed_planner(PlanStrategy s) {
 }
 
 struct TempFile {
-  explicit TempFile(const std::string& name) : path("/tmp/" + name) {}
+  explicit TempFile(const std::string& name) : path(recon::test::scratch_path(name)) {}
   ~TempFile() { std::remove(path.c_str()); }
   std::string path;
 };

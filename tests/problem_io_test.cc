@@ -8,6 +8,7 @@
 #include "core/pm_arest.h"
 #include "graph/generators.h"
 #include "sim/problem_io.h"
+#include "test_scratch.h"
 
 namespace recon::sim {
 namespace {
@@ -124,7 +125,7 @@ TEST(ProblemIo, RejectsMalformedInput) {
 
 TEST(ProblemIo, FileRoundTrip) {
   const Problem p = rich_problem();
-  const std::string path = "/tmp/recon_problem_io_test.txt";
+  const std::string path = recon::test::scratch_path("recon_problem_io_test.txt");
   write_problem_file(path, p);
   const Problem loaded = read_problem_file(path);
   expect_problems_equal(p, loaded);

@@ -24,6 +24,7 @@
 #include "sim/trace_io.h"
 #include "sim/world.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace recon::service {
 namespace {
@@ -57,8 +58,8 @@ Problem er_problem(int seed, graph::NodeId n = 250) {
 /// mkdtemp-backed scratch dir, removed (one level deep) on destruction.
 struct TempDir {
   TempDir() {
-    char tmpl[] = "/tmp/recon_serve_XXXXXX";
-    const char* p = ::mkdtemp(tmpl);
+    std::string tmpl = recon::test::scratch_path("recon_serve_XXXXXX");
+    const char* p = ::mkdtemp(tmpl.data());
     if (p == nullptr) throw std::runtime_error("mkdtemp failed");
     path = p;
   }

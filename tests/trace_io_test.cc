@@ -9,6 +9,7 @@
 #include "graph/generators.h"
 #include "sim/problem.h"
 #include "sim/trace_io.h"
+#include "test_scratch.h"
 
 namespace recon::sim {
 namespace {
@@ -94,7 +95,7 @@ TEST(TraceIo, RejectsMalformedFields) {
 
 TEST(TraceIo, FileRoundTrip) {
   const auto traces = real_traces();
-  const std::string path = "/tmp/recon_trace_io_test.txt";
+  const std::string path = recon::test::scratch_path("recon_trace_io_test.txt");
   write_traces_file(path, traces);
   const auto loaded = read_traces_file(path);
   EXPECT_EQ(loaded.size(), traces.size());

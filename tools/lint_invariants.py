@@ -40,6 +40,11 @@ are statically detectable, and this linter rejects them at CI time:
                    at the destination. All durable publishes must go through
                    util::durable_rename (src/util/fs.cc), the one waived call
                    site.
+  temp-path        A "/tmp/..." string literal in a file under tests/. ctest
+                   runs every gtest case as its own process and `ctest -j`
+                   runs them concurrently, so a fixed temp path is shared by
+                   racing cases; tests take paths from scratch_path()
+                   (tests/test_scratch.h), a per-process mkdtemp directory.
   waiver           Malformed waivers: unknown rule name or empty reason.
 
 Waiver grammar (one per flagged construct, on the flagged line or in the
@@ -76,7 +81,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from lintlib.cpp import class_bodies  # noqa: E402
 from lintlib.findings import Finding, print_findings  # noqa: E402
 from lintlib.fixtures import run_selftest as _run_fixture_selftest  # noqa: E402
-from lintlib.source import SourceFile, collect_files  # noqa: E402
+from lintlib.source import (SourceFile, collect_files,  # noqa: E402
+                            strip_comments_and_strings)
 from lintlib.waivers import Waivers  # noqa: E402
 
 RULES = {
@@ -91,6 +97,8 @@ RULES = {
     "lockfree": "hand-rolled CAS without a documented protocol",
     "durable-write": "raw rename() outside util::durable_rename "
                      "(publishes without fsync; torn on crash)",
+    "temp-path": "fixed temp-directory path in a test (races under ctest -j; "
+                 "use scratch_path() from tests/test_scratch.h)",
     "waiver": "malformed waiver pragma",
 }
 
@@ -170,6 +178,12 @@ UNORDERED_DECL_RE = re.compile(
 )
 MUTEX_MEMBER_RE = re.compile(r"\b(?:std\s*::\s*mutex|util\s*::\s*Mutex|Mutex)\s+(\w+)\s*;")
 
+TEMP_LITERAL_RE = re.compile(r'"/tmp/')
+
+
+def under_tests(path: str) -> bool:
+    return "/tests/" in os.path.abspath(path).replace(os.sep, "/")
+
 
 def lint_file(path: str, findings: list[Finding]) -> None:
     sf = SourceFile(path)
@@ -191,6 +205,19 @@ def lint_file(path: str, findings: list[Finding]) -> None:
                     findings.append(
                         Finding(rel, lineno, rule,
                                 f"{label} is banned: {RULES[rule]}"))
+
+    # --- temp-path: fixed temp-directory literals in tests ------------------
+    if under_tests(path):
+        literal_lines = strip_comments_and_strings(
+            sf.text, keep_strings=True).splitlines()
+        for lineno, sline in enumerate(literal_lines, 1):
+            if TEMP_LITERAL_RE.search(sline) and \
+                    not waivers.waived("temp-path", lineno):
+                findings.append(
+                    Finding(rel, lineno, "temp-path",
+                            "fixed \"/tmp/...\" path in a test: concurrent "
+                            "ctest processes share it; use scratch_path() "
+                            "from tests/test_scratch.h"))
 
     # --- hash-order iteration ----------------------------------------------
     unordered_names = {m.group(1) for m in UNORDERED_DECL_RE.finditer(code)}

@@ -20,8 +20,10 @@ CXX_SUFFIXES = (".h", ".cc", ".cpp", ".hpp")
 PRUNE_DIRS = ("lint_fixtures",)
 
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks comments and string/char literals, preserving line structure."""
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
+    """Blanks comments and string/char literals, preserving line structure.
+    With `keep_strings`, literals (quotes included) are kept verbatim and
+    only comments are blanked — for rules about literal contents."""
     out = []
     i, n = 0, len(text)
     state = "code"  # code | line-comment | block-comment | string | char
@@ -41,12 +43,12 @@ def strip_comments_and_strings(text: str) -> str:
                 continue
             if c == '"':
                 state = "string"
-                out.append(" ")
+                out.append(c if keep_strings else " ")
                 i += 1
                 continue
             if c == "'":
                 state = "char"
-                out.append(" ")
+                out.append(c if keep_strings else " ")
                 i += 1
                 continue
             out.append(c)
@@ -66,12 +68,12 @@ def strip_comments_and_strings(text: str) -> str:
         elif state in ("string", "char"):
             quote = '"' if state == "string" else "'"
             if c == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2] if keep_strings else "  ")
                 i += 2
                 continue
             if c == quote:
                 state = "code"
-            out.append(" " if c != "\n" else "\n")
+            out.append(c if keep_strings or c == "\n" else " ")
         i += 1
     return "".join(out)
 

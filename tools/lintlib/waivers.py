@@ -24,7 +24,7 @@ WAIVER_RE = re.compile(r"lint:([a-z-]+)-ok\(")
 # simply not coverage for this tool's findings.
 LINT_RULES = (
     "randomness", "clock", "hash-order", "checkpoint-pair", "format-pair",
-    "guard", "lockfree", "durable-write", "waiver",
+    "guard", "lockfree", "durable-write", "temp-path", "waiver",
 )
 ANALYZE_RULES = (
     "lockgraph", "ckpt-coverage", "hotpath", "crash-registry", "waiver",
