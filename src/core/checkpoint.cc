@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,42 @@ namespace {
 
 constexpr const char* kHeader = "#recon-checkpoint v1";
 constexpr const char* kHeaderV2 = "#recon-checkpoint v2";
+
+// Widest decimal forms: a 64-bit integer, and a double at 17 significant
+// digits ("-1.2345678901234567e-308").
+constexpr std::size_t kU64Chars = 20;
+constexpr std::size_t kDoubleChars = 24;
+// Allowance for the fixed-size lines (meta, benefit, fault, async), with
+// room left for the generation footer core/checkpoint_chain appends.
+constexpr std::size_t kFixedChars = 1024;
+
+template <typename Int>
+void put_int(std::string& out, Int v) {
+  char buf[kU64Chars + 1];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+/// The `%.17g` form an ostream with precision(17) prints (to_chars with an
+/// explicit precision is specified as printf in the "C" locale).
+void put_double(std::string& out, double v) {
+  char buf[kDoubleChars + 8];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+/// One decimal digit per state (node and edge states are 0..2), stored
+/// directly into the buffer.
+template <typename State>
+void put_digits(std::string& out, const std::vector<State>& states) {
+  const std::size_t at = out.size();
+  out.resize(at + states.size());
+  char* p = out.data() + at;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    p[i] = static_cast<char>('0' + static_cast<std::uint8_t>(states[i]));
+  }
+}
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("read_checkpoint: " + what);
@@ -107,9 +144,16 @@ void restore_common(const AttackCheckpoint& cp, sim::Observation& obs,
 
 }  // namespace
 
-void InFlightRequest::serialize(std::ostream& out) const {
-  out << node << ':' << attempt << ':' << static_cast<int>(outcome) << ':'
-      << q_at_send << ':' << completion_time;
+void InFlightRequest::serialize(std::string& out) const {
+  put_int(out, node);
+  out += ':';
+  put_int(out, attempt);
+  out += ':';
+  put_int(out, outcome);
+  out += ':';
+  put_double(out, q_at_send);
+  out += ':';
+  put_double(out, completion_time);
 }
 
 InFlightRequest InFlightRequest::deserialize(const std::string& token) {
@@ -192,79 +236,147 @@ void apply_async_checkpoint(const AttackCheckpoint& cp, sim::Observation& obs,
   restore_common(cp, obs, fault, "apply_async_checkpoint");
 }
 
-void write_checkpoint(std::ostream& out, const AttackCheckpoint& cp) {
-  out.precision(17);
-  out << (cp.has_async ? kHeaderV2 : kHeader) << '\n';
-  out << "meta world-seed=" << cp.world_seed << " budget=" << cp.budget
-      << " spent=" << cp.spent << " round=" << cp.round << " clock=" << cp.clock
-      << '\n';
-  out << "nodes " << cp.node_states.size() << ' ';
-  for (auto s : cp.node_states) out << static_cast<int>(s);
-  out << '\n';
-  out << "edges " << cp.edge_states.size() << ' ';
-  for (auto s : cp.edge_states) out << static_cast<int>(s);
-  out << '\n';
+std::string encode_checkpoint(const AttackCheckpoint& cp) {
   std::size_t nonzero = 0;
   for (auto a : cp.attempts) nonzero += a != 0;
-  out << "attempts " << nonzero;
-  for (std::size_t u = 0; u < cp.attempts.size(); ++u) {
-    if (cp.attempts[u] != 0) out << ' ' << u << ':' << cp.attempts[u];
-  }
-  out << '\n';
-  out << "friends " << cp.friends.size();
-  for (NodeId f : cp.friends) out << ' ' << f;
-  out << '\n';
   std::size_t cooling = 0;
   for (auto t : cp.retry_after) cooling += t != 0.0;
-  out << "cooldowns " << cooling;
-  for (std::size_t u = 0; u < cp.retry_after.size(); ++u) {
-    if (cp.retry_after[u] != 0.0) out << ' ' << u << ':' << cp.retry_after[u];
+
+  // The embedded trace keeps the one trace grammar (sim/trace_io); it is
+  // small (one line per batch), so it is rendered first and copied in.
+  std::ostringstream trace;
+  sim::write_traces(trace, {cp.trace});
+
+  // One reservation covers the whole document: every number is bounded by
+  // kU64Chars / kDoubleChars.
+  std::string out;
+  out.reserve(kFixedChars + cp.node_states.size() + cp.edge_states.size() +
+              nonzero * (2 * kU64Chars + 2) + cp.friends.size() * (kU64Chars + 1) +
+              cooling * (kU64Chars + kDoubleChars + 2) +
+              cp.fault.window.size() * (2 * kU64Chars + 2) +
+              cp.async.rng_state.size() +
+              cp.async.in_flight.size() * (3 * kU64Chars + 2 * kDoubleChars + 5) +
+              cp.strategy_name.size() + cp.strategy_state.size() +
+              trace.view().size());
+
+  out += cp.has_async ? kHeaderV2 : kHeader;
+  out += "\nmeta world-seed=";
+  put_int(out, cp.world_seed);
+  out += " budget=";
+  put_double(out, cp.budget);
+  out += " spent=";
+  put_double(out, cp.spent);
+  out += " round=";
+  put_int(out, cp.round);
+  out += " clock=";
+  put_double(out, cp.clock);
+  out += "\nnodes ";
+  put_int(out, cp.node_states.size());
+  out += ' ';
+  put_digits(out, cp.node_states);
+  out += "\nedges ";
+  put_int(out, cp.edge_states.size());
+  out += ' ';
+  put_digits(out, cp.edge_states);
+  out += "\nattempts ";
+  put_int(out, nonzero);
+  for (std::size_t u = 0; u < cp.attempts.size(); ++u) {
+    if (cp.attempts[u] == 0) continue;
+    out += ' ';
+    put_int(out, u);
+    out += ':';
+    put_int(out, cp.attempts[u]);
   }
-  out << '\n';
+  out += "\nfriends ";
+  put_int(out, cp.friends.size());
+  for (NodeId f : cp.friends) {
+    out += ' ';
+    put_int(out, f);
+  }
+  out += "\ncooldowns ";
+  put_int(out, cooling);
+  for (std::size_t u = 0; u < cp.retry_after.size(); ++u) {
+    if (cp.retry_after[u] == 0.0) continue;
+    out += ' ';
+    put_int(out, u);
+    out += ':';
+    put_double(out, cp.retry_after[u]);
+  }
+  out += '\n';
   if (cp.has_benefit) {
-    out << "benefit friends=" << cp.benefit.friends << " fofs=" << cp.benefit.fofs
-        << " edges=" << cp.benefit.edges << '\n';
+    out += "benefit friends=";
+    put_double(out, cp.benefit.friends);
+    out += " fofs=";
+    put_double(out, cp.benefit.fofs);
+    out += " edges=";
+    put_double(out, cp.benefit.edges);
+    out += '\n';
   }
   if (cp.has_fault) {
     const auto& f = cp.fault;
-    out << "fault sends=" << f.sends << " tick=" << f.tick
-        << " until=" << f.suspended_until << " window=";
-    if (f.window.empty()) {
-      out << '-';
-    } else {
-      for (std::size_t i = 0; i < f.window.size(); ++i) {
-        if (i > 0) out << ',';
-        out << f.window[i].first << ':' << f.window[i].second;
-      }
+    out += "fault sends=";
+    put_int(out, f.sends);
+    out += " tick=";
+    put_int(out, f.tick);
+    out += " until=";
+    put_int(out, f.suspended_until);
+    out += " window=";
+    if (f.window.empty()) out += '-';
+    for (std::size_t i = 0; i < f.window.size(); ++i) {
+      if (i > 0) out += ',';
+      put_int(out, f.window[i].first);
+      out += ':';
+      put_int(out, f.window[i].second);
     }
-    out << " counters=" << f.counters.delivered << ',' << f.counters.timeouts
-        << ',' << f.counters.drops << ',' << f.counters.throttles << ','
-        << f.counters.bounced << ',' << f.counters.lockouts << '\n';
+    out += " counters=";
+    const auto& c = f.counters;
+    for (const std::uint64_t v :
+         {c.delivered, c.timeouts, c.drops, c.throttles, c.bounced}) {
+      put_int(out, v);
+      out += ',';
+    }
+    put_int(out, c.lockouts);
+    out += '\n';
   }
   if (cp.has_async) {
     const auto& a = cp.async;
-    out << "async window=" << a.window << " now=" << a.now
-        << " sent=" << a.requests_sent << " accepts=" << a.accepts << '\n';
-    out << "rng " << a.rng_state << '\n';
-    out << "inflight " << a.in_flight.size();
+    out += "async window=";
+    put_int(out, a.window);
+    out += " now=";
+    put_double(out, a.now);
+    out += " sent=";
+    put_int(out, a.requests_sent);
+    out += " accepts=";
+    put_int(out, a.accepts);
+    out += "\nrng ";
+    out += a.rng_state;
+    out += "\ninflight ";
+    put_int(out, a.in_flight.size());
     for (const auto& r : a.in_flight) {
-      out << ' ';
+      out += ' ';
       r.serialize(out);
     }
-    out << '\n';
+    out += '\n';
   }
-  out << "strategy " << cp.strategy_name << '\n';
-  out << "strategy-state " << cp.strategy_state << '\n';
-  out << "end\n";
-  sim::write_traces(out, {cp.trace});
+  out += "strategy ";
+  out += cp.strategy_name;
+  out += "\nstrategy-state ";
+  out += cp.strategy_state;
+  out += "\nend\n";
+  out += trace.view();
+  return out;
+}
+
+void write_checkpoint(std::ostream& out, const AttackCheckpoint& cp) {
+  out.precision(17);
+  const std::string doc = encode_checkpoint(cp);
+  out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
 }
 
 void write_checkpoint_file(const std::string& path, const AttackCheckpoint& cp) {
   // Serialize first so the torn-write crash point leaves a deterministic
   // prefix (header line only) on disk.
-  std::ostringstream buf;
-  write_checkpoint(buf, cp);
-  const std::string body = buf.str();
+  const std::string body = encode_checkpoint(cp);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary);

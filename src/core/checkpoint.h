@@ -67,8 +67,8 @@ struct InFlightRequest {
 
   bool operator==(const InFlightRequest&) const = default;
 
-  /// Writes the single token `u:a:o:q:t` (stream precision applies).
-  void serialize(std::ostream& out) const;
+  /// Appends the single token `u:a:o:q:t` (doubles at 17 significant digits).
+  void serialize(std::string& out) const;
   /// Parses a token produced by serialize(); throws std::runtime_error.
   static InFlightRequest deserialize(const std::string& token);
 };
@@ -153,6 +153,11 @@ void apply_checkpoint(const AttackCheckpoint& cp, sim::Observation& obs,
 void apply_async_checkpoint(const AttackCheckpoint& cp, sim::Observation& obs,
                             sim::FaultModel* fault);
 
+/// The checkpoint document as one string, encoded in a single pass into one
+/// buffer reserved up front (with spare room for the generation footer,
+/// core/checkpoint_chain.h).
+std::string encode_checkpoint(const AttackCheckpoint& cp);
+/// Writes encode_checkpoint(cp) to `out` and sets its precision to 17.
 void write_checkpoint(std::ostream& out, const AttackCheckpoint& cp);
 /// Atomic write: writes to `path`.tmp then renames, so an interrupted writer
 /// never leaves a half-written checkpoint at `path`.

@@ -30,6 +30,9 @@ std::string to_hex16(std::uint64_t v) {
   return s;
 }
 
+/// Footer line length: prefix + 16 hex digits + '\n'.
+constexpr std::size_t kFooterLen = sizeof(kFooterPrefix) - 1 + kFooterHexDigits + 1;
+
 /// Parses the trailing decimal generation index of `name` after
 /// `prefix` ("<basename>.gen-"); npos-style nullopt when it is not a live
 /// generation file.
@@ -55,19 +58,22 @@ bool is_chain_relative(const std::string& name, const std::string& prefix) {
 
 }  // namespace
 
-std::string frame_generation(const std::string& body) {
-  return body + kFooterPrefix +
-         to_hex16(util::fnv1a64(body.data(), body.size())) + "\n";
+std::uint64_t frame_generation(std::string& doc) {
+  // FNV-1a is a running hash: the body's hash is continued over the footer
+  // rather than hashing the body a second time.
+  const std::size_t body = doc.size();
+  const std::uint64_t h = util::fnv1a64(doc.data(), body);
+  doc += kFooterPrefix;
+  doc += to_hex16(h);
+  doc += '\n';
+  return util::fnv1a64(doc.data() + body, kFooterLen, h);
 }
 
 std::string unframe_generation(const std::string& bytes) {
-  // The footer is the final line: prefix + 16 hex digits + '\n'.
-  const std::size_t footer_len =
-      sizeof(kFooterPrefix) - 1 + kFooterHexDigits + 1;
-  if (bytes.size() < footer_len || bytes.back() != '\n') {
+  if (bytes.size() < kFooterLen || bytes.back() != '\n') {
     throw std::runtime_error("generation footer missing (file torn?)");
   }
-  const std::size_t footer_start = bytes.size() - footer_len;
+  const std::size_t footer_start = bytes.size() - kFooterLen;
   if (footer_start != 0 && bytes[footer_start - 1] != '\n') {
     throw std::runtime_error("generation footer not on its own line");
   }
@@ -150,9 +156,12 @@ std::uint64_t CheckpointChain::write(const AttackCheckpoint& cp) {
     if (any_digit && gen + 1 > next) next = gen + 1;
   }
 
-  std::ostringstream buf;
-  write_checkpoint(buf, cp);
-  const std::string framed = frame_generation(buf.str());
+  // Indices only grow while any chain file remains, so a remembered
+  // generation at or past `next` had its files removed: forget it.
+  published_.erase(published_.lower_bound(next), published_.end());
+
+  std::string framed = encode_checkpoint(cp);
+  const std::uint64_t framed_fnv = frame_generation(framed);
 
   const std::string path = generation_path(next);
   const std::string tmp = path + ".tmp";
@@ -177,6 +186,7 @@ std::uint64_t CheckpointChain::write(const AttackCheckpoint& cp) {
   }
   RECON_CRASH_POINT("chain.tmp-written");
   util::durable_rename(tmp, path);
+  published_[next] = {framed_fnv, framed.size()};
   RECON_CRASH_POINT("chain.gen-published");
 
   // The kept set after this write: the newest max_generations live files.
@@ -189,23 +199,39 @@ std::uint64_t CheckpointChain::write(const AttackCheckpoint& cp) {
 
   // Manifest lists the kept generations (written before pruning so a crash
   // between the two leaves only extra files, never a manifest pointing at
-  // missing ones). It is informational — recovery trusts the scan.
-  std::ostringstream mf;
-  mf << kManifestHeader << '\n';
-  for (const std::uint64_t g : kept) {
-    const std::string bytes = util::read_file_bytes(generation_path(g));
-    mf << "gen " << g << " fnv="
-       << to_hex16(util::fnv1a64(bytes.data(), bytes.size())) << " bytes="
-       << bytes.size() << '\n';
+  // missing ones). It is informational — recovery trusts the scan. Hashes
+  // of generations this object published come from the bytes it wrote;
+  // generations another writer published, and remembered ones whose file
+  // size no longer matches (the chain was wiped and refilled), are read
+  // back from disk.
+  if (!kept.empty()) {
+    published_.erase(published_.begin(), published_.lower_bound(kept.front()));
   }
-  mf << "end " << kept.size() << '\n';
+  std::string text = kManifestHeader;
+  text += '\n';
+  for (const std::uint64_t g : kept) {
+    const std::string gpath = generation_path(g);
+    const auto it = published_.find(g);
+    std::error_code ec;
+    GenerationDigest digest;
+    if (it != published_.end() &&
+        std::filesystem::file_size(gpath, ec) == it->second.bytes && !ec) {
+      digest = it->second;
+    } else {
+      const std::string bytes = util::read_file_bytes(gpath);
+      readback_bytes_ += bytes.size();
+      digest = {util::fnv1a64(bytes.data(), bytes.size()), bytes.size()};
+    }
+    text += "gen " + std::to_string(g) + " fnv=" + to_hex16(digest.fnv) +
+            " bytes=" + std::to_string(digest.bytes) + '\n';
+  }
+  text += "end " + std::to_string(kept.size()) + '\n';
   const std::string mtmp = manifest_path() + ".tmp";
   {
     std::ofstream f(mtmp, std::ios::binary);
     if (!f) {
       throw std::runtime_error("CheckpointChain: cannot open " + mtmp);
     }
-    const std::string text = mf.str();
     f.write(text.data(), static_cast<std::streamsize>(text.size()));
     f.flush();
     if (!f) {

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,8 +53,10 @@ struct LoadedGeneration {
   std::size_t quarantined = 0;
 };
 
-/// Frames a serialized checkpoint document with the chain footer line.
-std::string frame_generation(const std::string& body);
+/// Appends the chain footer line to the serialized checkpoint document
+/// `doc` in place and returns the FNV-1a of the whole framed bytes (the
+/// hash a manifest row lists).
+std::uint64_t frame_generation(std::string& doc);
 
 /// Verifies the footer frame and returns the enclosed document. Throws
 /// std::runtime_error naming the defect (missing footer, checksum
@@ -87,9 +90,29 @@ class CheckpointChain {
   /// directory scan — the manifest is informational.
   std::vector<std::uint64_t> list_generations() const;
 
+  /// Bytes the manifest rewrites have read back from disk: only generations
+  /// this object did not publish itself are read and re-hashed. Stays 0 for
+  /// a chain with a single writer.
+  std::uint64_t manifest_readback_bytes() const noexcept { return readback_bytes_; }
+
  private:
+  /// Whole-file hash and size of a published generation (a manifest row).
+  struct GenerationDigest {
+    std::uint64_t fnv = 0;
+    std::size_t bytes = 0;
+  };
+
   std::string base_;
   CheckpointChainOptions options_;
+  /// Digests of the kept generations this object published, by index.
+  /// Generation files are never rewritten in place and indices only grow
+  /// while any chain file remains, so a digest describes its file for as
+  /// long as the file is live. A wiped and refilled chain can reuse an
+  /// index; the manifest then re-reads any remembered generation whose size
+  /// on disk differs. A same-size replacement is not detected — harmless,
+  /// since the manifest is informational and recovery trusts the scan.
+  std::map<std::uint64_t, GenerationDigest> published_;
+  std::uint64_t readback_bytes_ = 0;
 };
 
 }  // namespace recon::core

@@ -20,9 +20,10 @@ namespace {
   throw std::runtime_error("MappedFile: " + what + ": " + path);
 }
 
-/// Buffered fallback (and non-POSIX path): the whole file in a heap buffer.
-/// The buffer is leaked into the MappedFile's data pointer and reclaimed in
-/// the destructor via delete[].
+#if !RECON_HAVE_MMAP
+/// Non-POSIX path: the whole file in a heap buffer. The buffer is leaked
+/// into the MappedFile's data pointer and reclaimed in the destructor via
+/// delete[].
 const std::byte* read_whole_file(const std::string& path, std::size_t& size) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) fail(path, "cannot open");
@@ -43,6 +44,7 @@ const std::byte* read_whole_file(const std::string& path, std::size_t& size) {
   }
   return buf;
 }
+#endif
 
 }  // namespace
 

@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "core/checkpoint.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "sim/problem.h"
@@ -85,6 +86,54 @@ TEST(FuzzIo, TraceParserNeverCrashes) {
       }
       ++parsed;
     } catch (const std::exception&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(FuzzIo, CheckpointParserNeverCrashes) {
+  // Mutations that shorten, lengthen or split a section must be rejected
+  // with std::runtime_error, and whatever parses must re-encode to bytes
+  // that parse back to the same document.
+  const std::string valid =
+      "#recon-checkpoint v2\n"
+      "meta world-seed=42 budget=10 spent=2 round=3 clock=0.5\n"
+      "nodes 6 012210\n"
+      "edges 3 102\n"
+      "attempts 2 1:2 3:1\n"
+      "friends 2 3 1\n"
+      "cooldowns 1 1:12.5\n"
+      "benefit friends=2 fofs=0.30000000000000004 edges=1.5\n"
+      "fault sends=9 tick=4 until=6 window=3:2,4:1 counters=5,1,1,1,0,1\n"
+      "async window=4 now=2.75 sent=3 accepts=1\n"
+      "rng 1 2 3 4\n"
+      "inflight 1 0:1:0:0.5:3\n"
+      "strategy rolling-window\n"
+      "strategy-state \n"
+      "end\n"
+      "#recon-trace v1\n"
+      "trace 0\n"
+      "batch sel=0 cost=1 reqs=0:1 df=1 dx=0 de=0 ccost=2\n"
+      "end 1\n";
+  util::Rng rng(29);
+  int parsed = 0, rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::istringstream in(mutate(valid, rng, 1 + static_cast<int>(rng.below(4))));
+    try {
+      const core::AttackCheckpoint cp = core::read_checkpoint(in);
+      for (const auto s : cp.node_states) ASSERT_LE(static_cast<int>(s), 2);
+      for (const auto s : cp.edge_states) ASSERT_LE(static_cast<int>(s), 2);
+      // Whatever parsed must survive its own round trip unchanged.
+      std::ostringstream once;
+      core::write_checkpoint(once, cp);
+      std::istringstream again(once.str());
+      std::ostringstream twice;
+      core::write_checkpoint(twice, core::read_checkpoint(again));
+      ASSERT_EQ(twice.str(), once.str());
+      ++parsed;
+    } catch (const std::runtime_error&) {
       ++rejected;
     }
   }
