@@ -137,11 +137,16 @@ std::uint64_t CheckpointChain::write(const AttackCheckpoint& cp) {
   // Recompute the next index from disk: a restarted (forked) worker may hold
   // a stale in-memory copy of the chain, and quarantined generations must
   // never be overwritten. Quarantine/tmp relatives share the prefix, so
-  // their embedded index is skipped too.
+  // their embedded index is skipped too. The same single scan collects the
+  // live generations; the one published below is appended after its rename.
+  // A generation another writer publishes meanwhile is missed by this
+  // write's manifest and prune, and picked up by the next write: the
+  // manifest is informational, and recovery trusts a fresh scan.
   const std::string dir = util::parent_dir(base_);
   const std::string prefix =
       std::filesystem::path(base_).filename().string() + ".gen-";
   std::uint64_t next = 0;
+  std::vector<std::uint64_t> gens;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     if (!is_chain_relative(name, prefix)) continue;
@@ -154,7 +159,11 @@ std::uint64_t CheckpointChain::write(const AttackCheckpoint& cp) {
       any_digit = true;
     }
     if (any_digit && gen + 1 > next) next = gen + 1;
+    if (const auto live = parse_generation(name, prefix)) gens.push_back(*live);
   }
+  // directory_iterator order is filesystem-dependent; sorting keeps the
+  // manifest and the prune order deterministic.
+  std::sort(gens.begin(), gens.end());
 
   // Indices only grow while any chain file remains, so a remembered
   // generation at or past `next` had its files removed: forget it.
@@ -190,7 +199,7 @@ std::uint64_t CheckpointChain::write(const AttackCheckpoint& cp) {
   RECON_CRASH_POINT("chain.gen-published");
 
   // The kept set after this write: the newest max_generations live files.
-  std::vector<std::uint64_t> gens = list_generations();
+  gens.push_back(next);  // above every index the scan saw
   std::vector<std::uint64_t> kept = gens;
   if (kept.size() > options_.max_generations) {
     kept.erase(kept.begin(),

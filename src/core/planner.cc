@@ -111,8 +111,9 @@ double ExecutionPlanner::estimate_work(PlanStrategy s,
       // touching every scenario.
       return scenarios * (frontier + k * k) * row;
     case PlanStrategy::kSaaExact:
-      // Greedy incumbent + candidate ranking + B&B search; the tree size is
-      // the learned part, seeded at ~(k+1) greedy-equivalents.
+      // Greedy incumbent (whose singletons also rank the candidates) + B&B
+      // search; the tree size is the learned part, seeded at ~(k+1)
+      // greedy-equivalents.
       return scenarios * (frontier + k * k) * row * (k + 1.0);
   }
   return 0.0;

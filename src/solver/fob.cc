@@ -21,13 +21,66 @@ std::vector<NodeId> fob_candidates(const sim::Observation& obs, bool allow_retri
   return out;
 }
 
-FobResult fob_greedy(const sim::Observation& obs, const std::vector<Scenario>& scenarios,
-                     std::size_t k, const std::vector<NodeId>& candidates,
-                     double deadline_seconds, util::ThreadPool* pool,
-                     bool antithetic) {
+namespace {
+
+/// Candidates per singleton block when a deadline is armed: the deadline is
+/// polled between blocks, as often as a candidate-by-candidate scan did.
+constexpr std::size_t kSingletonBlock = 64;
+
+/// out[i] = SAA objective of {candidates[i]} for i in [lo, hi). With a pool
+/// the block is one fan-out over candidates, each candidate evaluated
+/// serially inside its task: sorted_sum makes an objective independent of
+/// the thread that computed it, so the values are bit-identical to a
+/// sequential scan.
+void score_singletons(const sim::Observation& obs, const std::vector<Scenario>& scenarios,
+                      const std::vector<NodeId>& candidates, std::size_t lo,
+                      std::size_t hi, const SaaEvalOptions& eval,
+                      std::vector<double>& out) {
+  if (eval.pool != nullptr && hi - lo > 1) {
+    const SaaEvalOptions serial{nullptr, eval.antithetic_pairs};
+    eval.pool->parallel_for(lo, hi, [&](std::size_t i) {
+      out[i] = saa_objective(obs, scenarios, {candidates[i]}, serial);
+    });
+  } else {
+    for (std::size_t i = lo; i < hi; ++i) {
+      out[i] = saa_objective(obs, scenarios, {candidates[i]}, eval);
+    }
+  }
+}
+
+/// Sorts candidates by decreasing singleton objective, ties by ascending
+/// node id, and keeps the first `cap` (0 = all).
+RankedCandidates rank_by_singleton(const std::vector<NodeId>& candidates,
+                                   const std::vector<double>& singleton,
+                                   std::size_t cap) {
+  std::vector<std::pair<double, NodeId>> ranked;
+  ranked.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    ranked.emplace_back(singleton[i], candidates[i]);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  if (cap != 0 && ranked.size() > cap) ranked.resize(cap);
+  RankedCandidates out;
+  out.nodes.reserve(ranked.size());
+  out.singleton.reserve(ranked.size());
+  for (const auto& [value, u] : ranked) {
+    out.singleton.push_back(value);
+    out.nodes.push_back(u);
+  }
+  return out;
+}
+
+/// Lazy greedy; `singleton` receives every candidate's singleton objective
+/// (entries past a singleton-phase timeout are left 0).
+FobResult greedy_solve(const sim::Observation& obs, const std::vector<Scenario>& scenarios,
+                       std::size_t k, const std::vector<NodeId>& candidates,
+                       double deadline_seconds, const SaaEvalOptions& eval,
+                       std::vector<double>& singleton) {
   FobResult result;
   if (k == 0 || candidates.empty()) return result;
-  const SaaEvalOptions eval{pool, antithetic};
   const auto objective = [&](const std::vector<NodeId>& batch) {
     ++result.saa_evals;
     return saa_objective(obs, scenarios, batch, eval);
@@ -50,15 +103,22 @@ FobResult fob_greedy(const sim::Observation& obs, const std::vector<Scenario>& s
   std::vector<NodeId> batch;
   double current = 0.0;
   std::priority_queue<Entry> heap;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if ((i & 63) == 0 && past_deadline()) {
+  singleton.assign(candidates.size(), 0.0);
+  const std::size_t block =
+      deadline_seconds > 0.0 ? kSingletonBlock : candidates.size();
+  for (std::size_t lo = 0; lo < candidates.size(); lo += block) {
+    if (past_deadline()) {
       // Deadline hit during singleton scoring: return what is scored so far
       // greedily (possibly nothing — the caller falls back another tier).
       result.timed_out = true;
       break;
     }
-    const double v = objective({candidates[i]});
-    if (v > 0.0) heap.push({v, i, 0});
+    const std::size_t hi = std::min(candidates.size(), lo + block);
+    score_singletons(obs, scenarios, candidates, lo, hi, eval, singleton);
+    result.saa_evals += hi - lo;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (singleton[i] > 0.0) heap.push({singleton[i], i, 0});
+    }
   }
   while (batch.size() < k && !heap.empty()) {
     if (past_deadline()) {
@@ -86,15 +146,35 @@ FobResult fob_greedy(const sim::Observation& obs, const std::vector<Scenario>& s
   return result;
 }
 
+}  // namespace
+
+FobResult fob_greedy(const sim::Observation& obs, const std::vector<Scenario>& scenarios,
+                     std::size_t k, const std::vector<NodeId>& candidates,
+                     double deadline_seconds, util::ThreadPool* pool,
+                     bool antithetic) {
+  std::vector<double> singleton;
+  return greedy_solve(obs, scenarios, k, candidates, deadline_seconds,
+                      SaaEvalOptions{pool, antithetic}, singleton);
+}
+
+RankedCandidates rank_candidates(const sim::Observation& obs,
+                                 const std::vector<Scenario>& scenarios,
+                                 const std::vector<NodeId>& candidates, std::size_t cap,
+                                 const SaaEvalOptions& eval) {
+  std::vector<double> singleton(candidates.size());
+  score_singletons(obs, scenarios, candidates, 0, candidates.size(), eval, singleton);
+  return rank_by_singleton(candidates, singleton, cap);
+}
+
 FobResult fob_exact(const sim::Observation& obs, const std::vector<Scenario>& scenarios,
                     std::size_t k, const std::vector<NodeId>& candidates,
                     const FobExactOptions& options) {
   util::WallTimer timer;
   const SaaEvalOptions eval{options.pool, options.antithetic};
   std::uint64_t evals = 0;
-  FobResult greedy = fob_greedy(obs, scenarios, k, candidates,
-                                options.deadline_seconds, options.pool,
-                                options.antithetic);
+  std::vector<double> all_singletons;
+  FobResult greedy = greedy_solve(obs, scenarios, k, candidates,
+                                  options.deadline_seconds, eval, all_singletons);
   evals += greedy.saa_evals;
   if (greedy.timed_out) {
     greedy.exact = false;
@@ -104,33 +184,14 @@ FobResult fob_exact(const sim::Observation& obs, const std::vector<Scenario>& sc
   greedy.saa_evals = 0;  // folded into the running `evals` total instead
 
   // Order candidates by decreasing singleton gain for pruning power, and
-  // optionally cap the candidate pool.
-  std::vector<std::pair<double, NodeId>> ranked;
-  ranked.reserve(candidates.size());
-  for (NodeId u : candidates) {
-    if (options.deadline_seconds > 0.0 && (ranked.size() & 63) == 0 &&
-        timer.seconds() > options.deadline_seconds) {
-      greedy.timed_out = true;
-      greedy.saa_evals = evals;
-      return greedy;
-    }
-    ++evals;
-    ranked.emplace_back(saa_objective(obs, scenarios, {u}, eval), u);
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  std::size_t pool = ranked.size();
-  if (options.candidate_cap != 0) {
-    pool = std::min(pool, std::max(options.candidate_cap, k));
-  }
-  std::vector<NodeId> items(pool);
-  std::vector<double> singleton(pool);
-  for (std::size_t i = 0; i < pool; ++i) {
-    singleton[i] = ranked[i].first;
-    items[i] = ranked[i].second;
-  }
+  // optionally cap the candidate pool. The greedy pass already scored every
+  // singleton (it did not time out), so the ranking reuses those values.
+  const RankedCandidates ranked = rank_by_singleton(
+      candidates, all_singletons,
+      options.candidate_cap != 0 ? std::max(options.candidate_cap, k) : 0);
+  const std::vector<NodeId>& items = ranked.nodes;
+  const std::vector<double>& singleton = ranked.singleton;
+  const std::size_t pool = items.size();
   if (pool < k) {
     greedy.saa_evals = evals;
     return greedy;
@@ -170,8 +231,8 @@ FobResult fob_exact(const sim::Observation& obs, const std::vector<Scenario>& sc
   BnbLimits limits;
   limits.max_nodes = options.max_nodes;
   if (options.deadline_seconds > 0.0) {
-    // The search gets whatever wall-clock budget the greedy incumbent and
-    // candidate ranking left over.
+    // The search gets whatever wall-clock budget the greedy incumbent left
+    // over.
     limits.deadline_seconds =
         std::max(1e-6, options.deadline_seconds - timer.seconds());
   }

@@ -37,15 +37,32 @@ std::vector<graph::NodeId> fob_candidates(const sim::Observation& obs,
 
 /// Lazy-greedy FOB over the SAA objective. With `deadline_seconds` > 0 the
 /// solve stops at the deadline and returns the partial batch built so far
-/// (timed_out reports whether that happened). A pool parallelizes every
-/// SAA evaluation across scenarios (bit-identical objective values, so the
-/// selected batch is identical too). Set `antithetic` when `scenarios` came
+/// (timed_out reports whether that happened). A pool fans the singleton
+/// pass out over candidates (in blocks of 64, polling the deadline between
+/// blocks, when a deadline is set) and every later evaluation out over
+/// scenarios; objective values are bit-identical either way, so the
+/// selected batch is identical too. Set `antithetic` when `scenarios` came
 /// from sample_scenarios_antithetic so every (U, 1-U) pair is reduced as one
 /// unit (see SaaEvalOptions::antithetic_pairs).
 FobResult fob_greedy(const sim::Observation& obs, const std::vector<Scenario>& scenarios,
                      std::size_t k, const std::vector<graph::NodeId>& candidates,
                      double deadline_seconds = 0.0, util::ThreadPool* pool = nullptr,
                      bool antithetic = false);
+
+/// Candidates in decreasing singleton-objective order, ties by ascending
+/// node id.
+struct RankedCandidates {
+  std::vector<graph::NodeId> nodes;
+  std::vector<double> singleton;  ///< SAA objective of {nodes[i]}
+};
+
+/// Scores every candidate's singleton SAA objective (one fan-out over
+/// candidates when `eval.pool` is set) and ranks them as fob_exact does,
+/// keeping the first `cap` (0 = all).
+RankedCandidates rank_candidates(const sim::Observation& obs,
+                                 const std::vector<Scenario>& scenarios,
+                                 const std::vector<graph::NodeId>& candidates,
+                                 std::size_t cap, const SaaEvalOptions& eval);
 
 struct FobExactOptions {
   std::uint64_t max_nodes = 2'000'000;  ///< B&B node cap

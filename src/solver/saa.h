@@ -43,8 +43,17 @@ std::vector<Scenario> sample_scenarios_antithetic(const sim::Observation& obs,
 /// revealed existing edge (counted once), and Bfof for each new
 /// friend-of-friend (batch members that rejected remain FoF-eligible,
 /// matching MIP constraint (14) which binds only accepted nodes).
+/// Allocation-free after warm-up: "counted once" is tracked with epoch
+/// stamps in per-thread scratch sized to the graph, not with hash sets.
+/// Throws std::invalid_argument when `batch` contains a friend.
 double scenario_benefit(const sim::Observation& obs, const Scenario& scenario,
                         const std::vector<graph::NodeId>& batch);
+
+namespace detail {
+/// Sets the calling thread's scenario_benefit stamp epoch, so a test can
+/// drive the scratch across the 2^32 wrap that clears its stamps.
+void set_benefit_epoch(std::uint32_t epoch);
+}  // namespace detail
 
 /// How saa_objective / scenario_benefits evaluate the scenario set.
 struct SaaEvalOptions {

@@ -136,23 +136,10 @@ std::vector<NodeId> MipBatchStrategy::next_batch(const sim::Observation& obs,
     // Cap the candidate pool the same way fob_exact does.
     std::vector<NodeId> pool = candidates;
     if (options_.candidate_cap != 0 && pool.size() > options_.candidate_cap) {
-      std::vector<std::pair<double, NodeId>> ranked;
-      ranked.reserve(pool.size());
-      for (NodeId u : pool) {
-        ranked.emplace_back(
-            saa_objective(obs, scenarios, {u},
-                          {options_.pool, /*antithetic_pairs=*/true}),
-            u);
-      }
-      std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first > b.first;
-        return a.second < b.second;
-      });
-      pool.clear();
-      const std::size_t cap = std::max(options_.candidate_cap, batch_k);
-      for (std::size_t i = 0; i < cap && i < ranked.size(); ++i) {
-        pool.push_back(ranked[i].second);
-      }
+      pool = rank_candidates(obs, scenarios, candidates,
+                             std::max(options_.candidate_cap, batch_k),
+                             {options_.pool, /*antithetic_pairs=*/true})
+                 .nodes;
     }
     BendersOptions bopts;
     bopts.pool = options_.pool;

@@ -257,5 +257,31 @@ TEST(CheckpointManifest, MatchesDiskAfterChainIsWipedAndRefilled) {
   EXPECT_EQ(first.manifest_readback_bytes(), refilled);
 }
 
+TEST(CheckpointManifest, MatchesDiskBesideThousandsOfUnrelatedFiles) {
+  // One scan per publish yields both the next index and the live list; the
+  // files beside the chain (another chain's generations, a serve state_dir's
+  // traces) must change neither.
+  const std::string dir = test::scratch_path("manifest_crowded");
+  std::filesystem::create_directories(dir);
+  for (int i = 0; i < 3000; ++i) {
+    std::ofstream(dir + "/trace-" + std::to_string(i) + ".txt") << i << '\n';
+  }
+  CheckpointChain chain(dir + "/c");
+  CheckpointChain neighbour(dir + "/cc");
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    AttackCheckpoint cp = i % 2 == 0 ? golden_v1() : golden_v2();
+    cp.round = i;
+    EXPECT_EQ(chain.write(cp), i);
+    EXPECT_EQ(util::read_file_bytes(chain.manifest_path()), manifest_from_disk(chain))
+        << "after generation " << i;
+    EXPECT_EQ(neighbour.write(cp), i);
+    EXPECT_EQ(util::read_file_bytes(neighbour.manifest_path()),
+              manifest_from_disk(neighbour))
+        << "neighbour after generation " << i;
+  }
+  EXPECT_EQ(chain.list_generations(), (std::vector<std::uint64_t>{3, 4, 5}));
+  EXPECT_EQ(chain.manifest_readback_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace recon::core
