@@ -67,16 +67,17 @@ graph::Graph generate_graph(const util::Args& args) {
   }
   const std::string probs = args.get("probs", "structural");
   if (probs == "structural") {
-    g = graph::assign_edge_probs(g, graph::EdgeProbModel::structural(0.4, 0.5),
+    g = graph::assign_edge_probs(std::move(g),
+                                 graph::EdgeProbModel::structural(0.4, 0.5),
                                  util::derive_seed(seed, 0xB0));
   } else if (probs == "uniform") {
     g = graph::assign_edge_probs(
-        g,
+        std::move(g),
         graph::EdgeProbModel::uniform(args.get_double("plo", 0.2),
                                       args.get_double("phi", 0.9)),
         util::derive_seed(seed, 0xB0));
   } else if (probs == "const") {
-    g = graph::assign_edge_probs(g,
+    g = graph::assign_edge_probs(std::move(g),
                                  graph::EdgeProbModel::constant(args.get_double("p", 1.0)),
                                  util::derive_seed(seed, 0xB0));
   } else {

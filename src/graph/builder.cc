@@ -1,7 +1,6 @@
 #include "graph/builder.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace recon::graph {
@@ -38,45 +37,73 @@ void GraphBuilder::set_attributes(std::vector<std::uint16_t> values, unsigned di
   attribute_dim_ = dim;
 }
 
-Graph GraphBuilder::build() const {
-  // Sort edge indices by (u, v) and merge duplicates with max probability.
-  std::vector<std::size_t> order(us_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (us_[a] != us_[b]) return us_[a] < us_[b];
-    return vs_[a] < vs_[b];
-  });
+namespace {
 
+/// Edge indices ordered by (u, v) for canonical (u < v) endpoint arrays:
+/// a counting sort by u, then a sort of each u-bucket by v, in
+/// O(n + m log maxdeg) with one EdgeId index array.
+std::vector<EdgeId> order_by_endpoints(NodeId num_nodes, const std::vector<NodeId>& us,
+                                       const std::vector<NodeId>& vs) {
+  const std::size_t m = us.size();
+  std::vector<std::uint64_t> bucket(static_cast<std::size_t>(num_nodes) + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) ++bucket[us[i] + 1];
+  for (std::size_t i = 1; i < bucket.size(); ++i) bucket[i] += bucket[i - 1];
+  std::vector<EdgeId> order(m);
+  {
+    std::vector<std::uint64_t> cur(bucket.begin(), bucket.end() - 1);
+    for (std::size_t i = 0; i < m; ++i) order[cur[us[i]]++] = static_cast<EdgeId>(i);
+  }
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    std::sort(order.begin() + static_cast<std::ptrdiff_t>(bucket[u]),
+              order.begin() + static_cast<std::ptrdiff_t>(bucket[u + 1]),
+              [&vs](EdgeId a, EdgeId b) { return vs[a] < vs[b]; });
+  }
+  return order;
+}
+
+}  // namespace
+
+Graph GraphBuilder::assemble(NodeId num_nodes, const std::vector<NodeId>& us,
+                             const std::vector<NodeId>& vs,
+                             const std::vector<double>& ps, bool merge_duplicates) {
+  if (us.size() > static_cast<std::size_t>(kInvalidEdge)) {
+    throw std::invalid_argument("GraphBuilder: too many edges");
+  }
+  const std::vector<EdgeId> order = order_by_endpoints(num_nodes, us, vs);
   Graph g;
-  g.num_nodes_ = num_nodes_;
-  g.edge_u_.reserve(us_.size());
-  g.edge_v_.reserve(us_.size());
-  g.edge_prob_.reserve(us_.size());
-  for (std::size_t i : order) {
-    if (!g.edge_u_.empty() && g.edge_u_.back() == us_[i] && g.edge_v_.back() == vs_[i]) {
-      g.edge_prob_.back() = std::max(g.edge_prob_.back(), ps_[i]);
+  g.num_nodes_ = num_nodes;
+  g.edge_u_.reserve(order.size());
+  g.edge_v_.reserve(order.size());
+  g.edge_prob_.reserve(order.size());
+  for (const EdgeId i : order) {
+    if (!g.edge_u_.empty() && g.edge_u_.back() == us[i] && g.edge_v_.back() == vs[i]) {
+      if (!merge_duplicates) {
+        throw std::invalid_argument("from_unique_edges: duplicate edge");
+      }
+      g.edge_prob_.back() = std::max(g.edge_prob_.back(), ps[i]);
       continue;
     }
-    g.edge_u_.push_back(us_[i]);
-    g.edge_v_.push_back(vs_[i]);
-    g.edge_prob_.push_back(ps_[i]);
+    g.edge_u_.push_back(us[i]);
+    g.edge_v_.push_back(vs[i]);
+    g.edge_prob_.push_back(ps[i]);
   }
   g.num_edges_ = static_cast<EdgeId>(g.edge_u_.size());
+  return g;
+}
 
-  // Count degrees, fill CSR.
-  g.offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
+void GraphBuilder::fill_csr(Graph& g) {
+  g.offsets_.assign(static_cast<std::size_t>(g.num_nodes_) + 1, 0);
   for (EdgeId e = 0; e < g.num_edges_; ++e) {
     ++g.offsets_[g.edge_u_[e] + 1];
     ++g.offsets_[g.edge_v_[e] + 1];
   }
   for (std::size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
-
   g.adjacency_.resize(2 * static_cast<std::size_t>(g.num_edges_));
   g.edge_ids_.resize(2 * static_cast<std::size_t>(g.num_edges_));
+  // Edges arrive sorted by (u, v), so every row fills sorted: row x first
+  // receives its smaller neighbours (edges (u, x) lie in earlier u-buckets,
+  // in increasing u), then its larger ones (x's own bucket, increasing v).
   std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  // Edges are visited in (u, v) sorted order, so u-side adjacency fills
-  // sorted automatically; the v-side also fills sorted because edge_u_ is
-  // nondecreasing and, for equal v, u values arrive in increasing order.
   for (EdgeId e = 0; e < g.num_edges_; ++e) {
     const NodeId u = g.edge_u_[e];
     const NodeId v = g.edge_v_[e];
@@ -87,27 +114,14 @@ Graph GraphBuilder::build() const {
     g.edge_ids_[cursor[v]] = e;
     ++cursor[v];
   }
-  // The v-side ordering argument above is subtle; enforce sortedness
-  // defensively (cheap: almost always already sorted).
-  for (NodeId u = 0; u < num_nodes_; ++u) {
-    const std::size_t lo = g.offsets_[u];
-    const std::size_t hi = g.offsets_[u + 1];
-    if (!std::is_sorted(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(lo),
-                        g.adjacency_.begin() + static_cast<std::ptrdiff_t>(hi))) {
-      std::vector<std::pair<NodeId, EdgeId>> tmp;
-      tmp.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) tmp.emplace_back(g.adjacency_[i], g.edge_ids_[i]);
-      std::sort(tmp.begin(), tmp.end());
-      for (std::size_t i = lo; i < hi; ++i) {
-        g.adjacency_[i] = tmp[i - lo].first;
-        g.edge_ids_[i] = tmp[i - lo].second;
-      }
-    }
-  }
+  g.rebind_owned();  // the accessor pointers bind to the freshly filled vectors
+}
 
+Graph GraphBuilder::build() const {
+  Graph g = assemble(num_nodes_, us_, vs_, ps_, /*merge_duplicates=*/true);
   g.attributes_ = attributes_;
   g.attribute_dim_ = attribute_dim_;
-  g.rebind_owned();  // the accessor pointers bind to the freshly filled vectors
+  fill_csr(g);
   return g;
 }
 
@@ -117,9 +131,6 @@ Graph GraphBuilder::from_unique_edges(NodeId num_nodes, std::vector<NodeId> us,
   const std::size_t m = us.size();
   if (vs.size() != m || ps.size() != m) {
     throw std::invalid_argument("from_unique_edges: array length mismatch");
-  }
-  if (m > static_cast<std::size_t>(kInvalidEdge)) {
-    throw std::invalid_argument("from_unique_edges: too many edges");
   }
   for (std::size_t i = 0; i < m; ++i) {
     if (us[i] > vs[i]) std::swap(us[i], vs[i]);
@@ -131,89 +142,12 @@ Graph GraphBuilder::from_unique_edges(NodeId num_nodes, std::vector<NodeId> us,
       throw std::invalid_argument("from_unique_edges: probability outside [0,1]");
     }
   }
-
-  Graph g;
-  g.num_nodes_ = num_nodes;
-  g.num_edges_ = static_cast<EdgeId>(m);
-
-  // Counting sort by u, then sort each u-bucket by v: O(n + m log maxdeg)
-  // and one EdgeId index array instead of build()'s comparison sort over a
-  // retained copy of the pending edge list.
-  std::vector<std::uint64_t> bucket(static_cast<std::size_t>(num_nodes) + 1, 0);
-  for (std::size_t i = 0; i < m; ++i) ++bucket[us[i] + 1];
-  for (std::size_t i = 1; i < bucket.size(); ++i) bucket[i] += bucket[i - 1];
-  std::vector<EdgeId> order(m);
-  {
-    std::vector<std::uint64_t> cur(bucket.begin(), bucket.end() - 1);
-    for (std::size_t i = 0; i < m; ++i) order[cur[us[i]]++] = static_cast<EdgeId>(i);
-  }
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    const auto lo = static_cast<std::ptrdiff_t>(bucket[u]);
-    const auto hi = static_cast<std::ptrdiff_t>(bucket[u + 1]);
-    std::sort(order.begin() + lo, order.begin() + hi,
-              [&vs](EdgeId a, EdgeId b) { return vs[a] < vs[b]; });
-    for (std::ptrdiff_t i = lo + 1; i < hi; ++i) {
-      if (vs[order[i]] == vs[order[i - 1]]) {
-        throw std::invalid_argument("from_unique_edges: duplicate edge");
-      }
-    }
-  }
-
-  g.edge_u_.resize(m);
-  g.edge_v_.resize(m);
-  g.edge_prob_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const EdgeId e = order[i];
-    g.edge_u_[i] = us[e];
-    g.edge_v_[i] = vs[e];
-    g.edge_prob_[i] = ps[e];
-  }
-  us.clear();
-  us.shrink_to_fit();
-  vs.clear();
-  vs.shrink_to_fit();
-  ps.clear();
-  ps.shrink_to_fit();
-
-  g.offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  for (EdgeId e = 0; e < g.num_edges_; ++e) {
-    ++g.offsets_[g.edge_u_[e] + 1];
-    ++g.offsets_[g.edge_v_[e] + 1];
-  }
-  for (std::size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
-  g.adjacency_.resize(2 * static_cast<std::size_t>(g.num_edges_));
-  g.edge_ids_.resize(2 * static_cast<std::size_t>(g.num_edges_));
-  {
-    std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-    for (EdgeId e = 0; e < g.num_edges_; ++e) {
-      const NodeId u = g.edge_u_[e];
-      const NodeId v = g.edge_v_[e];
-      g.adjacency_[cursor[u]] = v;
-      g.edge_ids_[cursor[u]] = e;
-      ++cursor[u];
-      g.adjacency_[cursor[v]] = u;
-      g.edge_ids_[cursor[v]] = e;
-      ++cursor[v];
-    }
-  }
-  // Same defensive row-sortedness pass as build(): the u-side fills sorted
-  // by construction, the v-side ordering argument is subtle.
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    const std::size_t lo = g.offsets_[u];
-    const std::size_t hi = g.offsets_[u + 1];
-    if (!std::is_sorted(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(lo),
-                        g.adjacency_.begin() + static_cast<std::ptrdiff_t>(hi))) {
-      std::vector<std::pair<NodeId, EdgeId>> tmp;
-      tmp.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) tmp.emplace_back(g.adjacency_[i], g.edge_ids_[i]);
-      std::sort(tmp.begin(), tmp.end());
-      for (std::size_t i = lo; i < hi; ++i) {
-        g.adjacency_[i] = tmp[i - lo].first;
-        g.edge_ids_[i] = tmp[i - lo].second;
-      }
-    }
-  }
-  g.rebind_owned();
+  Graph g = assemble(num_nodes, us, vs, ps, /*merge_duplicates=*/false);
+  // Release the consumed inputs before the CSR arrays are allocated.
+  std::vector<NodeId>().swap(us);
+  std::vector<NodeId>().swap(vs);
+  std::vector<double>().swap(ps);
+  fill_csr(g);
   return g;
 }
 

@@ -34,21 +34,31 @@ class GraphBuilder {
   /// Attaches categorical attributes: `values` has num_nodes * dim entries.
   void set_attributes(std::vector<std::uint16_t> values, unsigned dim);
 
-  /// Builds the CSR graph. The builder may be reused afterwards (its pending
+  /// Builds the CSR graph: edges are counting-sorted by (u, v) and
+  /// duplicates merged. The builder may be reused afterwards (its pending
   /// edges are retained).
   Graph build() const;
 
-  /// Zero-copy CSR assembly for streaming generators: consumes parallel edge
-  /// arrays that are already *unique* (no duplicate pairs in either
-  /// orientation). Endpoints are canonicalized in place; edges are counting-
-  /// sorted by (u, v) — O(n + m log maxdeg) and no second copy of the edge
-  /// list, versus build()'s retained pending arrays plus comparison sort.
-  /// Throws std::invalid_argument on self-loops, out-of-range ids, bad
-  /// probabilities, duplicate edges, or length mismatches.
+  /// CSR assembly for generators whose edges are *unique* by construction
+  /// (no duplicate pairs in either orientation): consumes the parallel edge
+  /// arrays, canonicalizing endpoints in place and releasing them before
+  /// the CSR is filled, so no pending-edge copy outlives the call. Same
+  /// sort and CSR fill as build(). Throws std::invalid_argument on
+  /// self-loops, out-of-range ids, bad probabilities, duplicate edges, or
+  /// length mismatches.
   static Graph from_unique_edges(NodeId num_nodes, std::vector<NodeId> us,
                                  std::vector<NodeId> vs, std::vector<double> ps);
 
  private:
+  /// Sorts canonical (u < v) edges by (u, v) into a Graph's edge arrays;
+  /// duplicate pairs are merged with max probability, or rejected when
+  /// `merge_duplicates` is false. The CSR arrays are left for fill_csr.
+  static Graph assemble(NodeId num_nodes, const std::vector<NodeId>& us,
+                        const std::vector<NodeId>& vs, const std::vector<double>& ps,
+                        bool merge_duplicates);
+  /// Fills offsets, adjacency and edge ids from g's (u, v)-sorted edges.
+  static void fill_csr(Graph& g);
+
   NodeId num_nodes_;
   std::vector<NodeId> us_, vs_;   // canonicalized: us_[i] < vs_[i]
   std::vector<double> ps_;

@@ -97,7 +97,8 @@ Dataset make_dataset(DatasetId id, double scale, std::uint64_t seed,
     }
   }
   if (!uniform_probs) {
-    ds.graph = assign_edge_probs(ds.graph, EdgeProbModel::structural(0.4, 0.5),
+    ds.graph = assign_edge_probs(std::move(ds.graph),
+                                 EdgeProbModel::structural(0.4, 0.5),
                                  util::derive_seed(seed, 0xE0));
   }
   return ds;
@@ -137,48 +138,17 @@ GraphBinaryInfo stream_barabasi_albert_binary(
     throw std::invalid_argument("stream_barabasi_albert_binary: n too small");
   }
   util::Rng rng(seed);
-  const NodeId seed_nodes = m_per_node + 1;
-  const std::size_t clique_edges =
-      static_cast<std::size_t>(seed_nodes) * (seed_nodes - 1) / 2;
-  const std::size_t total =
-      clique_edges + static_cast<std::size_t>(n - seed_nodes) * m_per_node;
-
+  const std::size_t total = barabasi_albert_num_edges(n, m_per_node);
   std::vector<NodeId> us, vs;
   std::vector<double> ps;
   us.reserve(total);
   vs.reserve(total);
   ps.reserve(total);
-  // Repeated-endpoint list: a uniform pick samples proportionally to degree.
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(2 * total);
-  for (NodeId u = 0; u < seed_nodes; ++u) {
-    for (NodeId v = u + 1; v < seed_nodes; ++v) {
-      us.push_back(u);
-      vs.push_back(v);
-      ps.push_back(stream_prob(probs, rng));
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  std::vector<NodeId> picks;
-  std::unordered_set<NodeId> chosen;
-  for (NodeId u = seed_nodes; u < n; ++u) {
-    picks.clear();
-    chosen.clear();
-    while (picks.size() < m_per_node) {
-      const NodeId v = endpoints[rng.below(endpoints.size())];
-      if (chosen.insert(v).second) picks.push_back(v);
-    }
-    for (NodeId v : picks) {
-      us.push_back(v);  // canonical: targets predate u
-      vs.push_back(u);
-      ps.push_back(stream_prob(probs, rng));
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  endpoints.clear();
-  endpoints.shrink_to_fit();
+  barabasi_albert_edges(n, m_per_node, rng, [&](NodeId a, NodeId b) {
+    us.push_back(a);
+    vs.push_back(b);
+    ps.push_back(stream_prob(probs, rng));
+  });
 
   const Graph g = GraphBuilder::from_unique_edges(n, std::move(us),
                                                   std::move(vs), std::move(ps));

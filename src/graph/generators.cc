@@ -81,34 +81,17 @@ Graph barabasi_albert(NodeId n, NodeId m_per_node, std::uint64_t seed) {
   if (m_per_node == 0) throw std::invalid_argument("barabasi_albert: m == 0");
   if (n < m_per_node + 1) throw std::invalid_argument("barabasi_albert: n too small");
   util::Rng rng(seed);
-  GraphBuilder builder(n);
-  // Repeated-endpoint list: choosing a uniform entry samples proportionally
-  // to degree.
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(2 * static_cast<std::size_t>(n) * m_per_node);
-  const NodeId seed_nodes = m_per_node + 1;
-  for (NodeId u = 0; u < seed_nodes; ++u) {
-    for (NodeId v = u + 1; v < seed_nodes; ++v) {
-      builder.add_edge(u, v);
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  std::vector<NodeId> picks;
-  for (NodeId u = seed_nodes; u < n; ++u) {
-    picks.clear();
-    std::unordered_set<NodeId> chosen;
-    while (picks.size() < m_per_node) {
-      const NodeId v = endpoints[rng.below(endpoints.size())];
-      if (chosen.insert(v).second) picks.push_back(v);
-    }
-    for (NodeId v : picks) {
-      builder.add_edge(u, v);
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  return builder.build();
+  const std::size_t m = barabasi_albert_num_edges(n, m_per_node);
+  std::vector<NodeId> us, vs;
+  us.reserve(m);
+  vs.reserve(m);
+  barabasi_albert_edges(n, m_per_node, rng, [&](NodeId a, NodeId b) {
+    us.push_back(a);
+    vs.push_back(b);
+  });
+  // Each arriving node picks distinct targets, so the edges are unique.
+  return GraphBuilder::from_unique_edges(n, std::move(us), std::move(vs),
+                                         std::vector<double>(m, 1.0));
 }
 
 Graph watts_strogatz(NodeId n, NodeId k_ring, double beta, std::uint64_t seed) {
@@ -283,51 +266,59 @@ double sample_beta(double a, double b, util::Rng& rng) {
 
 namespace {
 
-double jaccard_similarity(const Graph& g, NodeId u, NodeId v) {
-  const auto nu = g.neighbors(u);
-  const auto nv = g.neighbors(v);
-  std::size_t inter = 0;
-  std::size_t i = 0, j = 0;
-  while (i < nu.size() && j < nv.size()) {
-    if (nu[i] == nv[j]) { ++inter; ++i; ++j; }
-    else if (nu[i] < nv[j]) ++i;
-    else ++j;
+/// p_e = a + b * jaccard(u, v) for every edge. Each |N(u) ∩ N(v)| is counted
+/// exactly by the edge's owner, the endpoint of larger degree (ties: the
+/// smaller id): the owner stamps its neighbourhood once, then the other
+/// endpoint's list is scanned against the stamps. Total cost is
+/// O(n + Σ_e min(deg u, deg v)).
+void structural_probs(const Graph& g, const EdgeProbModel& model,
+                      std::vector<double>& probs) {
+  const NodeId n = g.num_nodes();
+  std::vector<NodeId> stamp(n, kInvalidNode);  // stamp[y] == w: y ∈ N(w)
+  for (NodeId w = 0; w < n; ++w) {
+    const auto nbrs = g.neighbors(w);
+    const auto eids = g.incident_edges(w);
+    const NodeId dw = g.degree(w);
+    bool stamped = false;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const NodeId x = nbrs[i];
+      const NodeId dx = g.degree(x);
+      if (dx > dw || (dx == dw && x < w)) continue;  // x owns this edge
+      if (!stamped) {
+        for (const NodeId y : nbrs) stamp[y] = w;
+        stamped = true;
+      }
+      std::size_t inter = 0;
+      for (const NodeId y : g.neighbors(x)) inter += stamp[y] == w ? 1 : 0;
+      const std::size_t uni = std::size_t{dw} + dx - inter;
+      const double jaccard =
+          uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
+      probs[eids[i]] = model.a + model.b * jaccard;
+    }
   }
-  const std::size_t uni = nu.size() + nv.size() - inter;
-  return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 }  // namespace
 
-Graph assign_edge_probs(const Graph& g, const EdgeProbModel& model, std::uint64_t seed) {
+Graph assign_edge_probs(Graph g, const EdgeProbModel& model, std::uint64_t seed) {
   util::Rng rng(seed);
-  GraphBuilder builder(g.num_nodes());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const NodeId u = g.edge_u(e);
-    const NodeId v = g.edge_v(e);
-    double p = 1.0;
-    switch (model.kind) {
-      case EdgeProbModel::Kind::kConstant:
-        p = model.a;
-        break;
-      case EdgeProbModel::Kind::kUniform:
-        p = rng.uniform(model.a, model.b);
-        break;
-      case EdgeProbModel::Kind::kBeta:
-        p = sample_beta(model.a, model.b, rng);
-        break;
-      case EdgeProbModel::Kind::kStructural:
-        p = model.a + model.b * jaccard_similarity(g, u, v);
-        break;
-    }
-    builder.add_edge(u, v, std::clamp(p, 0.0, 1.0));
+  std::vector<double> probs(g.num_edges(), model.a);
+  switch (model.kind) {
+    case EdgeProbModel::Kind::kConstant:
+      break;
+    case EdgeProbModel::Kind::kUniform:
+      for (double& p : probs) p = rng.uniform(model.a, model.b);
+      break;
+    case EdgeProbModel::Kind::kBeta:
+      for (double& p : probs) p = sample_beta(model.a, model.b, rng);
+      break;
+    case EdgeProbModel::Kind::kStructural:
+      structural_probs(g, model, probs);
+      break;
   }
-  if (g.has_attributes()) {
-    builder.set_attributes(
-        std::vector<std::uint16_t>(g.attributes().begin(), g.attributes().end()),
-        g.attribute_dim());
-  }
-  return builder.build();
+  for (double& p : probs) p = std::clamp(p, 0.0, 1.0);
+  g.set_edge_probs(std::move(probs));  // rejects NaN, as add_edge did
+  return g;
 }
 
 Graph assign_attributes(const Graph& g, unsigned dim, std::uint16_t cardinality,

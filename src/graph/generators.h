@@ -10,7 +10,9 @@
 // attach a probabilistic belief model afterwards.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.h"
 #include "util/rng.h"
@@ -28,6 +30,52 @@ Graph erdos_renyi_gnp(NodeId n, double p, std::uint64_t seed);
 /// `m_per_node + 1` nodes, then each new node attaches to `m_per_node`
 /// distinct existing nodes chosen proportionally to degree.
 Graph barabasi_albert(NodeId n, NodeId m_per_node, std::uint64_t seed);
+
+/// Number of edges barabasi_albert(n, m_per_node, ·) produces (n > m_per_node).
+inline std::size_t barabasi_albert_num_edges(NodeId n, NodeId m_per_node) noexcept {
+  const std::size_t seed_nodes = static_cast<std::size_t>(m_per_node) + 1;
+  return seed_nodes * (seed_nodes - 1) / 2 + (n - seed_nodes) * m_per_node;
+}
+
+/// The Barabási–Albert sampling loop behind barabasi_albert() and
+/// stream_barabasi_albert_binary() (graph/datasets.h); the caller checks
+/// 0 < m_per_node < n. Calls emit(a, b), a < b, once per edge: the seed
+/// clique's edges first, then each arriving node's picks, emitted only
+/// after all of that node's picks are drawn, so RNG draws that emit makes
+/// interleave with the picks in a fixed order.
+template <class EmitEdge>
+void barabasi_albert_edges(NodeId n, NodeId m_per_node, util::Rng& rng, EmitEdge&& emit) {
+  const NodeId seed_nodes = m_per_node + 1;
+  // Repeated-endpoint list: a uniform entry samples proportionally to degree.
+  std::vector<NodeId> endpoints;
+  endpoints.reserve(2 * barabasi_albert_num_edges(n, m_per_node));
+  for (NodeId u = 0; u < seed_nodes; ++u) {
+    for (NodeId v = u + 1; v < seed_nodes; ++v) {
+      emit(u, v);
+      endpoints.push_back(u);
+      endpoints.push_back(v);
+    }
+  }
+  // stamp[v] == u: arriving node u has already picked v.
+  std::vector<NodeId> stamp(n, kInvalidNode);
+  std::vector<NodeId> picks;
+  picks.reserve(m_per_node);
+  for (NodeId u = seed_nodes; u < n; ++u) {
+    picks.clear();
+    while (picks.size() < m_per_node) {
+      const NodeId v = endpoints[rng.below(endpoints.size())];
+      if (stamp[v] != u) {
+        stamp[v] = u;
+        picks.push_back(v);
+      }
+    }
+    for (const NodeId v : picks) {
+      emit(v, u);  // targets predate u
+      endpoints.push_back(u);
+      endpoints.push_back(v);
+    }
+  }
+}
 
 /// Watts–Strogatz small world: ring lattice with `k_ring` neighbors per side
 /// rewired with probability beta.
@@ -71,8 +119,15 @@ struct EdgeProbModel {
   }
 };
 
-/// Returns a copy of g with edge probabilities drawn from the model.
-Graph assign_edge_probs(const Graph& g, const EdgeProbModel& model, std::uint64_t seed);
+/// Returns g with its edge probabilities drawn from the model, in EdgeId
+/// order, clamped to [0, 1]; a NaN draw throws std::invalid_argument.
+/// Topology, attributes, orig ids and edge ids are kept; only the
+/// probability array is replaced. Edge ids stay as given, not re-sorted by
+/// (u, v); that differs from a rebuild only for a graph whose edge list is
+/// not (u, v)-ordered, such as a hand-written binary file. Pass an rvalue
+/// to avoid copying the CSR. The structural model counts each
+/// |N(u) ∩ N(v)| exactly in O(Σ_e min(deg u, deg v)).
+Graph assign_edge_probs(Graph g, const EdgeProbModel& model, std::uint64_t seed);
 
 /// Attaches `dim` synthetic categorical attributes (e.g. location, employer)
 /// to a copy of g. Attribute values are correlated with community structure:

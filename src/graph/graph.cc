@@ -125,6 +125,21 @@ void Graph::set_orig_ids(std::vector<NodeId> new_to_old) {
   orig_p_ = orig_ids_.empty() ? nullptr : orig_ids_.data();
 }
 
+void Graph::set_edge_probs(std::vector<double> probs) {
+  if (probs.size() != num_edges_) {
+    throw std::invalid_argument(
+        "Graph::set_edge_probs: " + std::to_string(probs.size()) +
+        " probabilities for " + std::to_string(num_edges_) + " edges");
+  }
+  for (const double p : probs) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument("Graph::set_edge_probs: probability outside [0,1]");
+    }
+  }
+  edge_prob_ = std::move(probs);
+  prob_p_ = edge_prob_.data();
+}
+
 EdgeId Graph::find_edge(NodeId u, NodeId v) const noexcept {
   if (u >= num_nodes_ || v >= num_nodes_) return kInvalidEdge;
   if (degree(u) > degree(v)) std::swap(u, v);

@@ -138,6 +138,12 @@ class Graph {
   /// Pass an empty vector to clear back to the identity.
   void set_orig_ids(std::vector<NodeId> new_to_old);
 
+  /// Replaces every edge probability, indexed by EdgeId (size must be
+  /// num_edges, each value in [0, 1]; std::invalid_argument otherwise).
+  /// Topology, edge ids, attributes and orig ids are kept. The new values
+  /// are owned even when the other arrays are arena-backed.
+  void set_edge_probs(std::vector<double> probs);
+
   /// True when the arrays live in a shared mmap arena rather than owned
   /// vectors. Mapped graphs are safe to copy (copies share the arena) and
   /// keep the mapping alive until the last copy is destroyed.

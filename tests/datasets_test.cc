@@ -1,8 +1,14 @@
 // Tests for the dataset stand-ins (Table I surrogates).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "generator_oracle.h"
 #include "graph/datasets.h"
+#include "graph/generators.h"
 #include "graph/metrics.h"
+#include "util/rng.h"
 
 namespace recon::graph {
 namespace {
@@ -97,6 +103,52 @@ TEST(Datasets, FacebookHasHighClustering) {
   const double cf = clustering_coefficient(fb.graph, 3000, 1);
   const double ct = clustering_coefficient(tw.graph, 3000, 1);
   EXPECT_GT(cf, ct);  // WS ego-net surrogate vs BA surrogate
+}
+
+/// make_dataset's composition rebuilt from the reference implementations:
+/// the same topology generator and seed, then the oracle's structural
+/// probabilities. The BA stand-ins use the oracle sampler; the others feed
+/// the production topology (whose builder generators_test checks against
+/// the oracle) into the oracle's probability assignment.
+oracle::CsrGraph oracle_dataset(DatasetId id, double scale, std::uint64_t seed) {
+  const std::uint64_t topo = util::derive_seed(seed, 0xD5);
+  auto scaled = [scale](double paper_n, NodeId min_n) {
+    const auto n = static_cast<NodeId>(std::llround(paper_n * scale / 10.0));
+    return std::max<NodeId>(min_n, n);
+  };
+  oracle::CsrGraph g;
+  switch (id) {
+    case DatasetId::kUsPolBooks:
+      g = oracle::from_graph(stochastic_block_model(105, 3, 0.20, 0.023, topo));
+      break;
+    case DatasetId::kFacebook:
+      g = oracle::from_graph(watts_strogatz(scaled(4000, 120), 22, 0.15, topo));
+      break;
+    case DatasetId::kEnronEmail: {
+      const NodeId n = scaled(37000, 300);
+      g = oracle::from_graph(
+          powerlaw_configuration(n, 2.0, 3, std::max<NodeId>(20, n / 10), topo));
+      break;
+    }
+    case DatasetId::kSlashdot:
+      g = oracle::barabasi_albert(scaled(77000, 300), 12, topo);
+      break;
+    case DatasetId::kTwitter:
+      g = oracle::barabasi_albert(scaled(81000, 300), 22, topo);
+      break;
+  }
+  return oracle::assign_edge_probs(g, EdgeProbModel::structural(0.4, 0.5),
+                                   util::derive_seed(seed, 0xE0));
+}
+
+TEST(Datasets, MatchOracleCompositionBitForBit) {
+  for (const DatasetId id : all_dataset_ids()) {
+    for (const std::uint64_t seed : {7ull, 20170605ull}) {
+      const Dataset ds = make_dataset(id, 0.5, seed);
+      EXPECT_EQ(oracle::first_difference(ds.graph, oracle_dataset(id, 0.5, seed)), "")
+          << ds.name << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,21 @@
 // Tests for the random-graph generators: size/degree contracts, determinism,
-// distribution sanity, and parameterized sweeps over generator settings.
+// distribution sanity, parameterized sweeps over generator settings, and
+// bit-for-bit differential checks against the reference implementations in
+// generator_oracle.h.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "generator_oracle.h"
 #include "graph/builder.h"
+#include "graph/format.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
+#include "test_scratch.h"
 #include "util/rng.h"
 
 namespace recon::graph {
@@ -297,6 +306,182 @@ INSTANTIATE_TEST_SUITE_P(AllGenerators, GeneratorInvariants,
                                            GenCase{"pl", gen_pl},
                                            GenCase{"ff", gen_ff}),
                          [](const auto& pinfo) { return pinfo.param.name; });
+
+
+// ---------------------------------------------------------------------------
+// Differential tests: the production builder, Barabási–Albert sampler and
+// in-place edge-probability assignment against generator_oracle.h.
+// ---------------------------------------------------------------------------
+
+TEST(GeneratorOracle, BarabasiAlbertMatchesBitForBit) {
+  for (const NodeId m : {1u, 2u, 5u, 22u}) {
+    for (const NodeId n : {m + 1, m + 2, 60u, 400u}) {
+      for (const std::uint64_t seed : {1ull, 7ull, 42ull, 20170605ull}) {
+        EXPECT_EQ(oracle::first_difference(barabasi_albert(n, m, seed),
+                                           oracle::barabasi_albert(n, m, seed)),
+                  "")
+            << "n=" << n << " m=" << m << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(GeneratorOracle, BuildMergesDuplicatesLikeTheComparisonSort) {
+  for (const std::uint64_t seed : {3ull, 5ull, 8ull}) {
+    util::Rng rng(seed);
+    const NodeId n = 40;  // 120 draws over 40 nodes: duplicates and isolated nodes
+    GraphBuilder builder(n);
+    oracle::PendingEdges pending{n, {}, {}, {}, {}, 0};
+    for (int i = 0; i < 120; ++i) {
+      const auto u = static_cast<NodeId>(rng.below(n / 2));
+      const auto v = static_cast<NodeId>(rng.below(n / 2));
+      if (u == v) continue;
+      // Quarter-step probabilities make max-merge ties common.
+      const double p = static_cast<double>(rng.below(5)) / 4.0;
+      builder.add_edge(u, v, p);
+      pending.add_edge(u, v, p);
+    }
+    std::vector<std::uint16_t> attrs(2 * n);
+    for (auto& a : attrs) a = static_cast<std::uint16_t>(rng.below(9));
+    builder.set_attributes(attrs, 2);
+    pending.attributes = attrs;
+    pending.attribute_dim = 2;
+    EXPECT_EQ(oracle::first_difference(builder.build(), oracle::build(pending)), "")
+        << "seed=" << seed;
+  }
+  EXPECT_EQ(oracle::first_difference(GraphBuilder(5).build(),
+                                     oracle::build({5, {}, {}, {}, {}, 0})),
+            "");
+}
+
+TEST(GeneratorOracle, FromUniqueEdgesMatchesBuild) {
+  // A shuffled, mixed-orientation unique edge list assembles to the same
+  // graph as the builder's sort.
+  const Graph base = erdos_renyi_gnm(90, 300, 4);
+  std::vector<EdgeId> order(base.num_edges());
+  for (EdgeId e = 0; e < base.num_edges(); ++e) order[e] = e;
+  util::Rng rng(6);
+  util::shuffle(order, rng);
+  std::vector<NodeId> us, vs;
+  std::vector<double> ps;
+  oracle::PendingEdges pending{90, {}, {}, {}, {}, 0};
+  for (const EdgeId e : order) {
+    const bool flip = rng.below(2) == 1;
+    us.push_back(flip ? base.edge_v(e) : base.edge_u(e));
+    vs.push_back(flip ? base.edge_u(e) : base.edge_v(e));
+    ps.push_back(rng.uniform());
+    pending.add_edge(us.back(), vs.back(), ps.back());
+  }
+  EXPECT_EQ(oracle::first_difference(GraphBuilder::from_unique_edges(90, us, vs, ps),
+                                     oracle::build(pending)),
+            "");
+  us.push_back(vs.front());  // the first edge again, reversed
+  vs.push_back(us.front());
+  ps.push_back(0.5);
+  EXPECT_THROW(GraphBuilder::from_unique_edges(90, us, vs, ps), std::invalid_argument);
+}
+
+struct ProbInput {
+  std::string name;
+  Graph graph;
+};
+
+std::vector<ProbInput> prob_inputs() {
+  std::vector<ProbInput> in;
+  in.push_back({"ba", barabasi_albert(200, 3, 5)});
+  in.push_back({"ba_min", barabasi_albert(6, 5, 9)});  // one clique: equal degrees
+  in.push_back({"er_isolated", erdos_renyi_gnm(120, 50, 3)});
+  in.push_back({"ws_regular", watts_strogatz(60, 3, 0.0, 1)});  // all degrees equal
+  in.push_back({"ws", watts_strogatz(120, 4, 0.2, 2)});
+  in.push_back({"sbm", stochastic_block_model(90, 3, 0.2, 0.02, 4)});
+  in.push_back({"powerlaw", powerlaw_configuration(200, 2.0, 2, 30, 8)});
+  in.push_back(
+      {"attributes", assign_attributes(erdos_renyi_gnm(80, 200, 6), 2, 5, 0.5, 7)});
+  const Graph ba = barabasi_albert(100, 2, 3);
+  in.push_back({"relabeled", remap_graph(ba, degree_sort_permutation(ba))});
+  in.push_back({"empty", GraphBuilder(7).build()});
+  return in;
+}
+
+std::vector<EdgeProbModel> prob_models() {
+  return {EdgeProbModel::constant(0.7),        EdgeProbModel::constant(1.5),
+          EdgeProbModel::constant(-0.25),      EdgeProbModel::uniform(0.2, 0.9),
+          EdgeProbModel::beta(2.0, 5.0),       EdgeProbModel::structural(0.4, 0.5),
+          EdgeProbModel::structural(-0.3, 2.0)};  // clamps at both ends
+}
+
+TEST(GeneratorOracle, AssignEdgeProbsMatchesBitForBit) {
+  for (const ProbInput& in : prob_inputs()) {
+    const auto models = prob_models();
+    for (std::size_t k = 0; k < models.size(); ++k) {
+      for (const std::uint64_t seed : {3ull, 11ull}) {
+        const oracle::CsrGraph want =
+            oracle::assign_edge_probs(oracle::from_graph(in.graph), models[k], seed);
+        const Graph got = assign_edge_probs(in.graph, models[k], seed);
+        EXPECT_EQ(oracle::first_difference(got, want), "")
+            << in.name << " model " << k << " seed " << seed;
+        EXPECT_EQ(got.is_relabeled(), in.graph.is_relabeled()) << in.name;
+      }
+    }
+  }
+}
+
+TEST(GeneratorOracle, AssignEdgeProbsOnMappedGraph) {
+  // Arena-backed topology with an owned probability array: the result, and
+  // copies of it, read exactly like the oracle's rebuild.
+  const Graph base =
+      assign_edge_probs(barabasi_albert(150, 4, 12), EdgeProbModel::uniform(0.1, 0.6), 2);
+  const std::string path = test::scratch_path("generators_test_mapped.bin");
+  GraphBinaryWriteOptions wo;
+  wo.layout = GraphLayout::kKeep;
+  write_graph_binary_file(path, base, wo);
+  Graph mapped = map_graph_binary_file(path);
+  ASSERT_TRUE(mapped.is_mapped());
+  for (const EdgeProbModel& model : prob_models()) {
+    const oracle::CsrGraph want =
+        oracle::assign_edge_probs(oracle::from_graph(mapped), model, 17);
+    const Graph got = assign_edge_probs(mapped, model, 17);
+    EXPECT_TRUE(got.is_mapped());
+    EXPECT_EQ(oracle::first_difference(got, want), "");
+    const Graph copy = got;  // NOLINT(performance-unnecessary-copy-initialization)
+    EXPECT_EQ(oracle::first_difference(copy, want), "");
+  }
+  // Moving the mapped graph in leaves nothing behind to copy.
+  const oracle::CsrGraph want = oracle::assign_edge_probs(
+      oracle::from_graph(mapped), EdgeProbModel::structural(0.4, 0.5), 1);
+  const Graph moved =
+      assign_edge_probs(std::move(mapped), EdgeProbModel::structural(0.4, 0.5), 1);
+  EXPECT_EQ(oracle::first_difference(moved, want), "");
+  std::remove(path.c_str());
+}
+
+TEST(GeneratorOracle, NanProbabilitiesStillThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Graph base = barabasi_albert(30, 2, 1);
+  const oracle::CsrGraph ob = oracle::from_graph(base);
+  for (const EdgeProbModel& model :
+       {EdgeProbModel::constant(nan), EdgeProbModel::uniform(nan, 0.5),
+        EdgeProbModel::structural(nan, 0.5), EdgeProbModel::structural(0.4, nan)}) {
+    EXPECT_THROW(oracle::assign_edge_probs(ob, model, 1), std::invalid_argument);
+    EXPECT_THROW(assign_edge_probs(base, model, 1), std::invalid_argument);
+  }
+  // Without edges there is nothing to validate, before and after.
+  EXPECT_EQ(assign_edge_probs(GraphBuilder(4).build(), EdgeProbModel::constant(nan), 1)
+                .num_edges(),
+            0u);
+}
+
+TEST(GeneratorOracle, SetEdgeProbsValidates) {
+  Graph g = barabasi_albert(10, 2, 1);
+  EXPECT_THROW(g.set_edge_probs(std::vector<double>(g.num_edges() + 1, 0.5)),
+               std::invalid_argument);
+  std::vector<double> probs(g.num_edges(), 0.5);
+  probs.back() = 1.5;
+  EXPECT_THROW(g.set_edge_probs(probs), std::invalid_argument);
+  probs.back() = 0.25;
+  g.set_edge_probs(probs);
+  EXPECT_EQ(g.edge_prob(g.num_edges() - 1), 0.25);
+}
 
 }  // namespace
 }  // namespace recon::graph

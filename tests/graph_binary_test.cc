@@ -326,6 +326,31 @@ TEST(GraphBinary, StreamingGeneratorsProduceValidDeterministicFiles) {
   std::remove(pb.c_str());
 }
 
+TEST(GraphBinary, StreamedBarabasiAlbertBytesArePinned) {
+  // Payload checksums of small streamed BA files, one per streamable model:
+  // the sampler's RNG order (attachment picks interleaved with per-edge
+  // probability draws) and the CSR assembly must keep the file byte-identical.
+  struct Pin {
+    EdgeProbModel model;
+    std::uint64_t payload_checksum;
+  };
+  const Pin pins[] = {{EdgeProbModel::constant(1.0), 0xc2f24fd717b74e4eull},
+                      {EdgeProbModel::uniform(0.2, 0.9), 0x08f8b0ed62e1c911ull},
+                      {EdgeProbModel::beta(2.0, 3.0), 0x202065194fb785cfull}};
+  const std::string path = temp_path("stream_ba_pinned.bin");
+  for (const Pin& pin : pins) {
+    const auto info = stream_barabasi_albert_binary(path, 400, 4, pin.model, 7);
+    EXPECT_EQ(info.file_bytes, 57568u);
+    const std::vector<char> bytes = read_bytes(path);
+    ASSERT_GE(bytes.size(), 80u);
+    std::uint64_t payload_checksum = 0;  // header word 6, after magic + 6 words
+    std::memcpy(&payload_checksum, bytes.data() + 72, sizeof payload_checksum);
+    EXPECT_EQ(payload_checksum, pin.payload_checksum)
+        << "model kind " << static_cast<int>(pin.model.kind);
+  }
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Relabeling determinism: a degree-sorted remap of the same instance selects
 // the same nodes (modulo the relabeling) at every thread count, because all
@@ -433,6 +458,53 @@ TEST(GraphBinaryDeterminism, MappedFileSelectsSameBatchAsInRam) {
   core::BatchSelectOptions options;
   options.batch_size = 10;
   EXPECT_EQ(core::batch_select(obs_ram, options), core::batch_select(obs_map, options));
+  std::remove(path.c_str());
+}
+
+TEST(GraphBinaryDeterminism, AssignEdgeProbsKeepsOrigIdsOfMappedRelabeledGraph) {
+  // Attaching probabilities to a mapped degree-sorted graph keeps its
+  // new->old map, so selection still tie-breaks on the original labels and
+  // picks the same batch as the unrelabeled graph. With p = 0 every
+  // candidate outside the accepted nodes' neighbourhoods ties, so the
+  // tie-break decides the whole batch.
+  const Graph g = barabasi_albert(300, 3, 31);
+  const std::string path = temp_path("relabeled_probs.bin");
+  write_graph_binary_file(path, g);  // default: degree-sorted
+  const Graph m = map_graph_binary_file(path);
+  ASSERT_TRUE(m.is_relabeled());
+  const std::vector<NodeId> new_to_old(m.orig_ids().begin(), m.orig_ids().end());
+  std::vector<NodeId> old_to_new(new_to_old.size());
+  for (NodeId u = 0; u < m.num_nodes(); ++u) old_to_new[new_to_old[u]] = u;
+  std::vector<NodeId> targets_orig;
+  std::vector<NodeId> targets_new;
+  for (NodeId t = 0; t < g.num_nodes(); t += 7) {
+    targets_orig.push_back(t);
+    targets_new.push_back(old_to_new[t]);
+  }
+
+  for (const double p : {0.5, 0.0}) {
+    const EdgeProbModel model = EdgeProbModel::constant(p);
+    const Graph gp = assign_edge_probs(g, model, 5);
+    const Graph mp = assign_edge_probs(m, model, 5);
+    ASSERT_TRUE(mp.is_relabeled()) << "p=" << p;
+    EXPECT_TRUE(std::equal(new_to_old.begin(), new_to_old.end(), mp.orig_ids().begin(),
+                           mp.orig_ids().end()));
+
+    const sim::Problem p_id = problem_on(gp, targets_orig);
+    const sim::Problem p_rm = problem_on(mp, targets_new);
+    sim::Observation obs_id(p_id);
+    sim::Observation obs_rm(p_rm);
+    accept_nodes(obs_id, {0, 5, 9}, {});
+    accept_nodes(obs_rm, {0, 5, 9}, old_to_new);
+    core::BatchSelectOptions options;
+    options.batch_size = 8;
+    const std::vector<NodeId> base = core::batch_select(obs_id, options);
+    const std::vector<NodeId> got = core::batch_select(obs_rm, options);
+    ASSERT_EQ(got.size(), base.size()) << "p=" << p;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(new_to_old[got[i]], base[i]) << "p=" << p << " position " << i;
+    }
+  }
   std::remove(path.c_str());
 }
 
