@@ -79,7 +79,7 @@ void cost_ablation(const bench::BenchConfig& cfg) {
 void acceptance_ablation(const bench::BenchConfig& cfg) {
   graph::Dataset ds =
       graph::make_dataset(graph::DatasetId::kFacebook, cfg.scale, cfg.seed);
-  ds.graph = graph::assign_attributes(ds.graph, 3, 10, 0.7,
+  ds.graph = graph::assign_attributes(std::move(ds.graph), 3, 10, 0.7,
                                       util::derive_seed(cfg.seed, 0xA7));
   const double budget = bench::fig4_budget(ds);
 

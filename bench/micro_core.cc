@@ -3,10 +3,13 @@
 // ablation), lazy vs eager greedy, and full batch rounds.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/attack.h"
 #include "core/batch_select.h"
 #include "core/batch_state.h"
 #include "core/branch_tree.h"
+#include "core/cached_selector.h"
 #include "core/marginal.h"
 #include "core/pm_arest.h"
 #include "graph/generators.h"
@@ -108,6 +111,39 @@ void BM_BatchSelectEagerParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSelectEagerParallel)->Arg(1)->Arg(4)->Arg(8);
 
+/// One unit-cost attack (k = 10, budget 100) selecting every batch with the
+/// cross-batch cache, notified after each outcome, or with batch_select from
+/// scratch. Both pick identical batches; only the scoring work differs.
+std::size_t attack_with_selector(const sim::Problem& problem,
+                                 const sim::World& world, bool cached) {
+  sim::Observation obs(problem);
+  std::optional<core::CachedSelector> cache;
+  if (cached) cache.emplace(obs, core::MarginalPolicy::kWeighted);
+  core::BatchSelectOptions bs;
+  bs.batch_size = 10;
+  bs.max_attempts_per_node = 1;
+  double budget = 100.0;
+  std::size_t sent = 0;
+  for (;;) {
+    bs.remaining_budget = budget;
+    const auto batch = cached ? cache->select_batch(10, false, 1, budget)
+                              : core::batch_select(obs, bs);
+    if (batch.empty()) break;
+    for (const graph::NodeId u : batch) {
+      if (world.attempt_accept(u, obs.attempts(u), obs.acceptance_prob(u))) {
+        obs.record_accept(u, world.true_neighbors(u));
+        if (cached) cache->notify_accept(u);
+      } else {
+        obs.record_reject(u);
+        if (cached) cache->notify_reject(u);
+      }
+    }
+    budget -= static_cast<double>(batch.size());
+    sent += batch.size();
+  }
+  return sent;
+}
+
 void BM_FullAttackCachedVsUncached(benchmark::State& state) {
   // End-to-end selection cost over a whole attack: the cross-batch cache
   // (state.range(1)) rescores only dirty 2-hop regions.
@@ -115,12 +151,8 @@ void BM_FullAttackCachedVsUncached(benchmark::State& state) {
   const bool cached = state.range(1) != 0;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    core::PmArestOptions o;
-    o.batch_size = 10;
-    o.use_cache = cached;
-    core::PmArest strategy(o);
     const sim::World world(problem, seed++);
-    benchmark::DoNotOptimize(core::run_attack(problem, world, strategy, 100.0));
+    benchmark::DoNotOptimize(attack_with_selector(problem, world, cached));
   }
   state.SetLabel(cached ? "cached" : "uncached");
 }
@@ -139,7 +171,6 @@ void BM_FullAttackCachedPool(benchmark::State& state) {
   for (auto _ : state) {
     core::PmArestOptions o;
     o.batch_size = 10;
-    o.use_cache = true;
     o.pool = &pool;
     core::PmArest strategy(o);
     const sim::World world(problem, seed++);

@@ -114,49 +114,20 @@ sim::Problem load_problem(const util::Args& args) {
   return sim::make_problem(std::move(g), opts);
 }
 
-/// Parses `--planner off|auto|fixed:<strategy>` into planner options. The
-/// default (off) keeps every strategy's legacy flag-driven dispatch
-/// bit-identical to pre-planner builds.
-core::PlannerOptions parse_planner_options(const util::Args& args) {
-  core::PlannerOptions po;
-  const std::string spec = args.get("planner", "off");
-  if (spec == "off") return po;
-  if (spec == "auto") {
-    po.mode = core::PlannerMode::kAuto;
-    return po;
-  }
-  if (spec.rfind("fixed:", 0) == 0) {
-    core::PlanStrategy s = core::PlanStrategy::kCollapsedUncached;
-    if (core::parse_plan_strategy(spec.substr(6), &s)) {
-      po.mode = core::PlannerMode::kFixed;
-      po.fixed_strategy = s;
-      return po;
-    }
-  }
-  throw std::invalid_argument(
-      "bad --planner '" + spec +
-      "' (off|auto|fixed:<cached|uncached|tree|saa|exact|greedy>)");
-}
-
 core::StrategyFactory make_factory(const util::Args& args) {
   const std::string name = args.get("strategy", "pm");
   const int k = static_cast<int>(args.get_int("k", 10));
   const bool retries = args.has("retries");
   const auto max_attempts =
       static_cast<std::uint32_t>(args.get_int("max-attempts", 0));
-  const core::PlannerOptions planner = parse_planner_options(args);
-  if (planner.mode != core::PlannerMode::kOff && name != "pm" &&
-      name != "mip" && name != "fallback") {
-    throw std::invalid_argument(
-        "--planner requires --strategy pm, mip, or fallback");
-  }
+  const core::PlannerOptions planner =
+      core::parse_planner_spec(args.get("planner", "off"), name);
   if (name == "pm") {
-    return [k, retries, max_attempts, planner](int) {
+    return [k, retries, max_attempts](int) {
       core::PmArestOptions o;
       o.batch_size = k;
       o.allow_retries = retries;
       o.max_attempts_per_node = max_attempts;
-      o.planner = planner;
       return std::make_unique<core::PmArest>(o);
     };
   }
@@ -981,11 +952,12 @@ void print_usage(std::ostream& out) {
          "             [--delay-model exp|fixed]]  (checkpoint/resume applies;\n"
          "             --stop-after/--checkpoint-every count resolved events)\n"
          "            fallback solver: [--fob-deadline-ms MS] [--saa-deadline-ms MS]\n"
-         "            runtime planner (strategy pm|mip|fallback; default off\n"
+         "            runtime planner (strategy mip|fallback only; pm runs\n"
+         "            the cached selector and accepts only off; default off\n"
          "            keeps the flag-driven dispatch bit-identical):\n"
-         "            [--planner off|auto|fixed:<cached|uncached|tree|saa|\n"
-         "             exact|greedy>]  (auto picks per batch from calibrated\n"
-         "             cost models; state rides in checkpoints)\n"
+         "            [--planner off|auto|fixed:<uncached|saa|exact|greedy>]\n"
+         "             (auto picks per batch from calibrated cost models;\n"
+         "             state rides in checkpoints)\n"
          "  graph     `#recon-graph v1` binary substrate tooling\n"
          "            convert --in GRAPH --out BIN [--layout degree|keep]\n"
          "            info    --in FILE            (header-only probe on binary)\n"

@@ -78,25 +78,7 @@ CachedSelector::CachedSelector(const sim::Observation& obs, MarginalPolicy polic
   const NodeId n = obs.problem().graph.num_nodes();
   cached_.assign(n, 0.0);
   dirty_.assign(n, 1);  // everything needs an initial score
-  acct_dirty_.assign(n, 1);
   pos_.assign(n, kNotInHeap);
-}
-
-std::vector<NodeId> CachedSelector::accounting_dirty_nodes() const {
-  std::vector<NodeId> nodes;
-  for (NodeId u = 0; u < static_cast<NodeId>(acct_dirty_.size()); ++u) {
-    if (acct_dirty_[u]) nodes.push_back(u);
-  }
-  return nodes;
-}
-
-void CachedSelector::restore_accounting(const std::vector<NodeId>& dirty_nodes) {
-  acct_dirty_.assign(acct_dirty_.size(), 0);
-  for (const NodeId u : dirty_nodes) {
-    if (static_cast<std::size_t>(u) < acct_dirty_.size()) acct_dirty_[u] = 1;
-  }
-  acct_rescores_ = 0;
-  primed_ = false;  // the pending list is rebuilt by the next full refresh
 }
 
 void CachedSelector::rescore_node(NodeId u) {
@@ -111,10 +93,6 @@ void CachedSelector::mark_dirty(NodeId u) {
   if (!dirty_[u]) {
     dirty_[u] = 1;
     dirty_list_.push_back(u);
-  }
-  if (!acct_dirty_[u]) {
-    acct_dirty_[u] = 1;
-    acct_pending_.push_back(u);
   }
 }
 
@@ -240,22 +218,11 @@ void CachedSelector::refresh_full() {
   pops_ += heap_.size();
   heap_.clear();
   heap_.reserve(n);
-  // Accounting (sequential, before any real rescoring): every candidate
-  // whose accounting bit is set counts one rescore, then clears its bit.
-  // Admissible nodes still owing a count (cooling down) stay pending.
-  acct_pending_.clear();
   std::vector<NodeId> stale;
   for (NodeId u = 0; u < n; ++u) {
     if (!admissible(u)) continue;
     heap_.push_back({0.0, u, g.orig_id(u)});  // keyed once scores are fresh
     if (dirty_[u]) stale.push_back(u);
-    if (!acct_dirty_[u]) continue;
-    if (obs_->cooling_down(u)) {
-      acct_pending_.push_back(u);
-    } else {
-      ++acct_rescores_;
-      acct_dirty_[u] = 0;
-    }
   }
   // Inadmissible dirty nodes keep their bit for a later full refresh.
   dirty_list_.clear();
@@ -292,20 +259,7 @@ void order_by_id(std::vector<NodeId>& list, const std::vector<std::uint8_t>& mar
 }  // namespace
 
 void CachedSelector::refresh_dirty() {
-  order_by_id(acct_pending_, acct_dirty_);
   order_by_id(dirty_list_, dirty_);
-  std::size_t keep = 0;
-  for (const NodeId u : acct_pending_) {
-    if (!acct_dirty_[u] || !admissible(u)) continue;  // bit kept if excluded
-    if (obs_->cooling_down(u)) {
-      acct_pending_[keep++] = u;
-    } else {
-      ++acct_rescores_;
-      acct_dirty_[u] = 0;
-    }
-  }
-  acct_pending_.resize(keep);
-
   std::vector<NodeId> stale;
   stale.reserve(dirty_list_.size());
   for (const NodeId u : dirty_list_) {

@@ -105,26 +105,6 @@ class CachedSelector {
   std::uint64_t frontier_push_count() const noexcept { return pushes_; }
   std::uint64_t frontier_pop_count() const noexcept { return pops_; }
 
-  /// Checkpointable rescore accounting. `rescore_count()` measures the real
-  /// recomputations, which on a resumed campaign include the one-off cost of
-  /// rebuilding the cache cold — work the uninterrupted run never did, which
-  /// previously made the planner's cached-tier work-ratio EWMA re-learn its
-  /// dirty fraction after resume. The accounting overlay is marked with the
-  /// dirty bitmap but counted over the candidate set: a node counts one
-  /// rescore the first batch it is a candidate after being marked, then its
-  /// bit clears. It is serializable: PmArest checkpoints it and feeds the
-  /// planner accounted deltas, so a resumed campaign observes exactly the
-  /// work counts the warm run would have.
-  std::uint64_t accounted_rescore_count() const noexcept {
-    return acct_rescores_;
-  }
-  /// Sparse list of nodes whose accounting-dirty bit is set (ascending ids).
-  std::vector<graph::NodeId> accounting_dirty_nodes() const;
-  /// Replaces the accounting overlay with a checkpointed one: only the
-  /// listed nodes are accounting-dirty. The real dirty bitmap is untouched
-  /// (a rebuilt cache must still rescore everything for correctness).
-  void restore_accounting(const std::vector<graph::NodeId>& dirty_nodes);
-
  private:
   class PickFrontier;
 
@@ -188,15 +168,6 @@ class CachedSelector {
   bool allow_retries_ = false;
   std::uint32_t max_attempts_ = 0;
   double budget_ = 0.0;
-
-  /// Accounting twin of `dirty_` (see accounted_rescore_count). Marked in
-  /// lockstep with the real bitmap, cleared sequentially per batch over the
-  /// candidate set, never read by the parallel rescore pass.
-  std::vector<std::uint8_t> acct_dirty_;
-  /// Accounting-dirty nodes not yet counted that may still become
-  /// candidates (permanently excluded ones keep their bit but leave here).
-  std::vector<graph::NodeId> acct_pending_;
-  std::uint64_t acct_rescores_ = 0;
 };
 
 }  // namespace recon::core

@@ -59,6 +59,28 @@ bool parse_plan_strategy(const std::string& token, PlanStrategy* out) noexcept {
   return false;
 }
 
+PlannerOptions parse_planner_spec(const std::string& spec,
+                                  const std::string& strategy) {
+  PlannerOptions po;
+  if (spec == "auto") {
+    po.mode = PlannerMode::kAuto;
+  } else if (spec.rfind("fixed:", 0) == 0 &&
+             parse_plan_strategy(spec.substr(6), &po.fixed_strategy)) {
+    po.mode = PlannerMode::kFixed;
+  } else if (spec != "off") {
+    throw std::invalid_argument(
+        "bad planner '" + spec +
+        "' (off|auto|fixed:<cached|uncached|tree|saa|exact|greedy>)");
+  }
+  if (po.mode != PlannerMode::kOff && strategy != "mip" &&
+      strategy != "fallback") {
+    throw std::invalid_argument(
+        "planner '" + spec + "' needs strategy mip or fallback; strategy '" +
+        strategy + "' takes only planner off");
+  }
+  return po;
+}
+
 void ShardCalibration::record_pass(std::uint64_t pass_nanos,
                                    double pass_work) noexcept {
   if (frozen_.load(std::memory_order_relaxed)) return;

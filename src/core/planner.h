@@ -1,18 +1,20 @@
 // Runtime-adaptive execution planner: cost-model-driven dispatch among the
-// interchangeable execution strategies for one BATCHSELECT step.
+// interchangeable execution strategies for one BATCHSELECT step of the
+// solver-backed strategies (solver/fallback.h, solver/strategy_mip.h).
 //
-// The PM-AReST pipeline has several implementations of the same mathematical
-// operation — collapsed-product lazy greedy (cached or uncached scoring),
-// the literal 2^k branch-tree fan-out, and the SAA solver tiers (exact B&B,
-// SAA lazy greedy) — whose relative cost shifts with k, the candidate
-// frontier, the degree distribution, and the scenario count as a campaign
-// progresses. Instead of freezing the choice with hand-set flags, the
-// planner keeps a small per-strategy cost model (an EWMA-calibrated
-// work-ratio over *deterministic* work-unit counts, plus an EWMA of
-// measured ns/work-unit) and picks, per batch, the highest-quality strategy
-// predicted to fit the deadline, falling back to the cheapest greedy floor —
-// the FallbackStrategy deadline ladder folded in as the planner's degraded
-// tiers.
+// Those strategies can answer a batch with the scenario-free collapsed lazy
+// greedy (batch_select) or with the SAA solver tiers (exact B&B, SAA lazy
+// greedy), whose relative cost shifts with k, the candidate frontier, the
+// degree distribution, and the scenario count as a campaign progresses.
+// Instead of freezing the choice with hand-set flags, the planner keeps a
+// small per-strategy cost model (an EWMA-calibrated work-ratio over
+// *deterministic* work-unit counts, plus an EWMA of measured ns/work-unit)
+// and picks, per batch, the highest-quality strategy predicted to fit the
+// deadline, falling back to the cheapest greedy floor — the
+// FallbackStrategy deadline ladder folded in as the planner's degraded
+// tiers. PM-AReST hosts no planner: it always runs the CΔ cache
+// (core/cached_selector.h), which measured fastest or tied at every point
+// of the planner's k-sweep.
 //
 // Determinism contract (the hard constraint):
 //
@@ -35,12 +37,9 @@
 //    bit patterns), observation counts, tier position, shard calibration —
 //    round-trips through `save_state()`/`restore_state()` and is embedded in
 //    the hosting Strategy's checkpoint line, so a resumed campaign replans
-//    identically from the restore point. PM-AReST additionally checkpoints
-//    its cache-accounting overlay (core/cached_selector.h), so the cached
-//    tier's work-ratio EWMA — which converges to the cache's dirty fraction
-//    — is fed the same work counts across a resume instead of re-learning
-//    from a cold cache: planner state, not just selections, is bit-identical
-//    after resume (planner_test asserts full save_state() equality).
+//    identically from the restore point: planner state, not just
+//    selections, is bit-identical after resume (planner_test asserts full
+//    save_state() equality).
 //  * `plan()` also consumes the campaign's *remaining budget* when the host
 //    provides it: a near-exhausted campaign (remaining < 2k requests) bars
 //    the exact B&B tier, because spending the most solver time on the final,
@@ -114,9 +113,9 @@ enum class PlannerMode : int {
 struct PlannerOptions {
   PlannerMode mode = PlannerMode::kOff;
   PlanStrategy fixed_strategy = PlanStrategy::kCollapsedUncached;
-  /// Which strategies the hosting Strategy can actually execute (PM-AReST
-  /// hosts the greedy floor variants; the fallback ladder hosts uncached +
-  /// both SAA tiers; the MIP strategy hosts the SAA tiers).
+  /// Which strategies the hosting Strategy can actually execute (the
+  /// fallback ladder hosts uncached + both SAA tiers; the MIP strategy hosts
+  /// the SAA tiers).
   std::array<bool, kNumPlanStrategies> admissible{true, true, true, true, true};
   /// Update the ns/work-unit EWMAs from measured wall time. Freezing this
   /// (false) makes even deadline-gated tier choices a pure function of
@@ -124,6 +123,15 @@ struct PlannerOptions {
   /// prove bit-identical resume under active deadlines.
   bool calibrate_time = true;
 };
+
+/// Parses the planner spec shared by `recon attack --planner` and the
+/// service's `SUBMIT planner=`: off | auto | fixed:<strategy>. `strategy` is
+/// the campaign's strategy name; only mip and fallback host a planner, so
+/// every other strategy (pm included: PM-AReST runs one selector) accepts
+/// "off" alone. Throws std::invalid_argument naming the planner setting on
+/// a bad spec or an unhosted one.
+PlannerOptions parse_planner_spec(const std::string& spec,
+                                  const std::string& strategy);
 
 /// Calibration for adaptive shard sizing (formerly a process-wide global in
 /// batch_select.cc): an EWMA of the measured scoring cost per work unit (one

@@ -321,7 +321,7 @@ Graph assign_edge_probs(Graph g, const EdgeProbModel& model, std::uint64_t seed)
   return g;
 }
 
-Graph assign_attributes(const Graph& g, unsigned dim, std::uint16_t cardinality,
+Graph assign_attributes(Graph g, unsigned dim, std::uint16_t cardinality,
                         double homophily, std::uint64_t seed) {
   if (dim == 0 || cardinality == 0) {
     throw std::invalid_argument("assign_attributes: dim/cardinality must be positive");
@@ -343,12 +343,8 @@ Graph assign_attributes(const Graph& g, unsigned dim, std::uint16_t cardinality,
       }
     }
   }
-  GraphBuilder builder(n);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    builder.add_edge(g.edge_u(e), g.edge_v(e), g.edge_prob(e));
-  }
-  builder.set_attributes(std::move(attrs), dim);
-  return builder.build();
+  g.set_attributes(std::move(attrs), dim);
+  return g;
 }
 
 }  // namespace recon::graph

@@ -130,10 +130,12 @@ struct EdgeProbModel {
 Graph assign_edge_probs(Graph g, const EdgeProbModel& model, std::uint64_t seed);
 
 /// Attaches `dim` synthetic categorical attributes (e.g. location, employer)
-/// to a copy of g. Attribute values are correlated with community structure:
-/// each node copies each attribute from a random neighbor with probability
-/// `homophily`, otherwise draws uniformly from [0, cardinality).
-Graph assign_attributes(const Graph& g, unsigned dim, std::uint16_t cardinality,
+/// to g in place; topology, edge ids, probabilities and orig ids are kept.
+/// Takes g by value: move a graph in to avoid copying the CSR. Attribute
+/// values are correlated with community structure: each node copies each
+/// attribute from a random neighbor with probability `homophily`, otherwise
+/// draws uniformly from [0, cardinality).
+Graph assign_attributes(Graph g, unsigned dim, std::uint16_t cardinality,
                         double homophily, std::uint64_t seed);
 
 /// Gamma(shape, 1) sample via Marsaglia–Tsang; used for Beta sampling.

@@ -140,6 +140,15 @@ void Graph::set_edge_probs(std::vector<double> probs) {
   prob_p_ = edge_prob_.data();
 }
 
+void Graph::set_attributes(std::vector<std::uint16_t> values, unsigned dim) {
+  if (dim == 0 || values.size() != static_cast<std::size_t>(num_nodes_) * dim) {
+    throw std::invalid_argument("Graph::set_attributes: attribute size mismatch");
+  }
+  attributes_ = std::move(values);
+  attribute_dim_ = dim;
+  attr_p_ = attributes_.data();
+}
+
 EdgeId Graph::find_edge(NodeId u, NodeId v) const noexcept {
   if (u >= num_nodes_ || v >= num_nodes_) return kInvalidEdge;
   if (degree(u) > degree(v)) std::swap(u, v);

@@ -144,6 +144,12 @@ class Graph {
   /// are owned even when the other arrays are arena-backed.
   void set_edge_probs(std::vector<double> probs);
 
+  /// Replaces the per-node attributes: `dim` values per node, node-major
+  /// (size must be num_nodes * dim with dim > 0; std::invalid_argument
+  /// otherwise). Topology, edge ids, probabilities and orig ids are kept;
+  /// the new values are owned even when the other arrays are arena-backed.
+  void set_attributes(std::vector<std::uint16_t> values, unsigned dim);
+
   /// True when the arrays live in a shared mmap arena rather than owned
   /// vectors. Mapped graphs are safe to copy (copies share the arena) and
   /// keep the mapping alive until the last copy is destroyed.

@@ -23,28 +23,6 @@ namespace recon::service {
 
 namespace {
 
-/// Mirrors the CLI's `--planner off|auto|fixed:<strategy>` grammar
-/// (cli/commands.cc) so protocol submissions accept the same specs.
-core::PlannerOptions parse_planner_spec(const std::string& spec) {
-  core::PlannerOptions po;
-  if (spec == "off") return po;
-  if (spec == "auto") {
-    po.mode = core::PlannerMode::kAuto;
-    return po;
-  }
-  if (spec.rfind("fixed:", 0) == 0) {
-    core::PlanStrategy s = core::PlanStrategy::kCollapsedUncached;
-    if (core::parse_plan_strategy(spec.substr(6), &s)) {
-      po.mode = core::PlannerMode::kFixed;
-      po.fixed_strategy = s;
-      return po;
-    }
-  }
-  throw std::invalid_argument(
-      "bad planner spec '" + spec +
-      "' (off|auto|fixed:<cached|uncached|tree|saa|exact|greedy>)");
-}
-
 /// Builds the campaign's strategy exactly as the CLI factory would
 /// (cli/commands.cc make_factory), sharing the registry's resident pool.
 /// Batches are bit-identical at every pool size, so sharing one pool across
@@ -57,12 +35,12 @@ std::unique_ptr<core::Strategy> make_strategy(const CampaignSpec& spec,
   if (spec.budget <= 0.0) {
     throw std::invalid_argument("campaign budget must be positive");
   }
-  const core::PlannerOptions planner = parse_planner_spec(spec.planner);
+  const core::PlannerOptions planner =
+      core::parse_planner_spec(spec.planner, spec.strategy);
   if (spec.strategy == "pm") {
     core::PmArestOptions o;
     o.batch_size = spec.batch_size;
     o.allow_retries = spec.allow_retries;
-    o.planner = planner;
     o.pool = pool;
     return std::make_unique<core::PmArest>(o);
   }

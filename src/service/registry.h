@@ -54,7 +54,7 @@ struct CampaignSpec {
   std::uint64_t seed = 1;       ///< world seed base (derive_seed(seed, 0))
   bool allow_retries = false;
   std::size_t scenarios = 300;  ///< SAA scenarios (mip/fallback)
-  std::string planner = "off";  ///< off | auto | fixed:<strategy>
+  std::string planner = "off";  ///< off | auto | fixed:<s> (mip, fallback)
   std::uint64_t checkpoint_every_rounds = 1;  ///< autosnapshot cadence
 
   /// Canonical one-line rendering — the id hash input and the protocol echo.

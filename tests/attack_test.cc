@@ -5,6 +5,7 @@
 
 #include "core/attack.h"
 #include "core/baselines.h"
+#include "core/branch_tree.h"
 #include "core/m_arest.h"
 #include "core/pm_arest.h"
 #include "graph/datasets.h"
@@ -235,11 +236,30 @@ TEST(Comparison, RetriesHelpWhenBudgetExceedsCandidates) {
   EXPECT_GT(mean_for(true), mean_for(false) * 1.02);
 }
 
+/// The literal 2^k branch-tree selector behind the Strategy interface, under
+/// PM-AReST's no-retry attempt cap of one request per node.
+class BranchTreeStrategy : public Strategy {
+ public:
+  explicit BranchTreeStrategy(int k) : k_(k) {}
+  std::string name() const override { return "branch-tree"; }
+  std::vector<NodeId> next_batch(const sim::Observation& obs,
+                                 double remaining_budget) override {
+    (void)remaining_budget;  // unit costs: the runner truncates the last batch
+    BranchTreeOptions bt;
+    bt.batch_size = k_;
+    bt.max_attempts_per_node = 1;
+    return branch_tree_select(obs, bt);
+  }
+
+ private:
+  int k_;
+};
+
 TEST(Comparison, BranchTreeStrategyMatchesCollapsed) {
   const Problem p = test_problem(12, 60);
   const sim::World w(p, 21);
   PmArest fast(PmArestOptions{.batch_size = 5});
-  PmArest slow(PmArestOptions{.batch_size = 5, .use_branch_tree = true});
+  BranchTreeStrategy slow(5);
   const auto tf = run_attack(p, w, fast, 20.0);
   const auto ts = run_attack(p, w, slow, 20.0);
   ASSERT_EQ(tf.batches.size(), ts.batches.size());

@@ -2,10 +2,11 @@
 // uncached selector over full attacks (including a batch-by-batch
 // differential campaign with ties, retries, cooldowns, timeouts, costs,
 // varying k and a mid-campaign resume), cache-efficiency and frontier-work
-// accounting, and the strategy-level wiring (PM-AReST use_cache on/off
-// produce identical runs).
+// accounting, and the strategy-level wiring (PM-AReST's attacks match a
+// test-local uncached oracle strategy).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -41,6 +42,34 @@ Problem cache_problem(int seed, graph::NodeId n = 150, double boost = 0.15) {
                                graph::EdgeProbModel::uniform(0.25, 0.95), seed + 1),
       opts);
 }
+
+/// The uncached selector behind the Strategy interface: batch_select from
+/// scratch every batch, under PM-AReST's attempt cap (m = ceil(K / k) with
+/// retries, else one). The reference the cached PM-AReST must reproduce.
+class UncachedOracle : public Strategy {
+ public:
+  UncachedOracle(int k, bool retries) : k_(k), retries_(retries) {}
+  std::string name() const override { return "uncached-oracle"; }
+  void begin(const Problem& problem, double budget) override {
+    (void)problem;
+    cap_ = retries_ ? static_cast<std::uint32_t>(std::max(1.0, std::ceil(budget / k_)))
+                    : 1;
+  }
+  std::vector<NodeId> next_batch(const Observation& obs,
+                                 double remaining_budget) override {
+    BatchSelectOptions bs;
+    bs.batch_size = k_;
+    bs.allow_retries = retries_;
+    bs.max_attempts_per_node = cap_;
+    bs.remaining_budget = remaining_budget;
+    return batch_select(obs, bs);
+  }
+
+ private:
+  int k_;
+  bool retries_;
+  std::uint32_t cap_ = 1;
+};
 
 // Drive a full attack with BOTH selectors in lockstep on the same
 // observation; every batch must be identical. The mutual-friend boost makes
@@ -142,19 +171,17 @@ TEST(CachedSelector, PoolDoesNotChangeRescoreCount) {
 }
 
 TEST(PmArestCache, CachePlusPoolMatchesSequentialAttack) {
-  // use_cache && pool is no longer an error path: it must reproduce the
-  // exact attack of the cache-less, pool-less strategy.
+  // The pool-backed cache must reproduce the exact attack of the cache-less,
+  // pool-less selector.
   util::ThreadPool pool(3);
   for (int seed = 1; seed <= 3; ++seed) {
     const Problem p = cache_problem(seed);
     const sim::World w(p, static_cast<std::uint64_t>(seed) + 31);
-    PmArestOptions plain;
-    plain.batch_size = 6;
-    plain.use_cache = false;
-    PmArestOptions fast = plain;
-    fast.use_cache = true;
+    PmArestOptions fast;
+    fast.batch_size = 6;
     fast.pool = &pool;
-    PmArest splain(plain), sfast(fast);
+    UncachedOracle splain(6, /*retries=*/false);
+    PmArest sfast(fast);
     const auto tplain = run_attack(p, w, splain, 100.0);
     const auto tfast = run_attack(p, w, sfast, 100.0);
     ASSERT_EQ(tplain.batches.size(), tfast.batches.size()) << "seed " << seed;
@@ -194,16 +221,16 @@ TEST(CachedSelector, RescoresOnlyDirtyRegion) {
 }
 
 TEST(PmArestCache, OnAndOffProduceIdenticalAttacks) {
+  // Cache on (PM-AReST) and off (the uncached oracle), with retries and the
+  // default m = ceil(K / k) attempt cap.
   for (int seed = 1; seed <= 4; ++seed) {
     const Problem p = cache_problem(seed);
     const sim::World w(p, static_cast<std::uint64_t>(seed) + 77);
     PmArestOptions on;
     on.batch_size = 6;
     on.allow_retries = true;
-    on.use_cache = true;
-    PmArestOptions off = on;
-    off.use_cache = false;
-    PmArest son(on), soff(off);
+    PmArest son(on);
+    UncachedOracle soff(6, /*retries=*/true);
     const auto ton = run_attack(p, w, son, 120.0);
     const auto toff = run_attack(p, w, soff, 120.0);
     ASSERT_EQ(ton.batches.size(), toff.batches.size()) << "seed " << seed;
@@ -340,7 +367,6 @@ TEST_P(FrontierDifferential, CachedPmArestMatchesUncachedOracleEveryBatch) {
 
   PmArestOptions opts;
   opts.batch_size = sc == Scenario::kBudgetTail ? 2 : 5;
-  opts.use_cache = true;
   opts.pool = pool.get();
   opts.allow_retries = sc != Scenario::kCostSensitive;
   opts.max_attempts_per_node = opts.allow_retries ? 3 : 1;
@@ -349,12 +375,6 @@ TEST_P(FrontierDifferential, CachedPmArestMatchesUncachedOracleEveryBatch) {
   if (sc == Scenario::kVaryK || sc == Scenario::kResume) {
     opts.vary_k_min = 1;
     opts.vary_k_max = 7;
-  }
-  if (sc == Scenario::kResume) {
-    // Fixed on the cached tier, so the checkpoint carries the cache section.
-    opts.planner.mode = PlannerMode::kFixed;
-    opts.planner.fixed_strategy = PlanStrategy::kCollapsedCached;
-    opts.planner.calibrate_time = false;  // keep save_state time-independent
   }
   const bool cooldowns = sc == Scenario::kCooldown || sc == Scenario::kTimeout ||
                          sc == Scenario::kResume;

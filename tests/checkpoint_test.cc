@@ -211,6 +211,32 @@ TEST(Checkpoint, StrategyMismatchIsRejected) {
   EXPECT_THROW(run_attack(p, w, random, 30.0, resume), std::runtime_error);
 }
 
+TEST(Checkpoint, PlannerCarryingPmArestBlobsFailClearly) {
+  // Builds that let PM-AReST host the runtime planner appended a cache
+  // section and a planner line to the state of `--planner` runs. PM-AReST
+  // runs one selector now: such a blob is refused with a message that says
+  // so, while the planner-off line stays readable byte for byte.
+  const std::string plain = "pmarest 11 22 33 44";
+  std::string planner = "planner 1 0 0 64 5";
+  for (int i = 0; i < 5; ++i) planner += " 4607182418800017408 4634204016564240384 3";
+  for (const std::string& blob :
+       {plain + " cache 2 3:1 7:2 1 9 " + planner, plain + " " + planner,
+        plain + " cache 0 0"}) {
+    PmArest pm(PmArestOptions{.batch_size = 5});
+    try {
+      pm.restore_state(blob);
+      ADD_FAILURE() << "accepted: " << blob;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("no longer hosts a planner"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  PmArest pm(PmArestOptions{.batch_size = 5});
+  pm.restore_state(plain);
+  EXPECT_EQ(pm.save_state(), plain);
+}
+
 TEST(Checkpoint, BudgetAndSeedMismatchesAreRejected) {
   const Problem p = test_problem(6);
   const sim::World w(p, 46);

@@ -128,6 +128,32 @@ TEST(Cli, AttackRejectsBadInput) {
             1);
 }
 
+TEST(Cli, AttackRefusesAPlannerForPm) {
+  const std::string graph_path = scratch_path("recon_cli_planner_g.txt");
+  ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "60", "--out",
+                 graph_path.c_str()}),
+            0);
+  // PM-AReST runs one selector: --planner is refused for --strategy pm
+  // (the default strategy too) with a message that names the flag.
+  std::string err;
+  EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--strategy", "pm",
+                 "--planner", "auto"},
+                nullptr, &err),
+            1);
+  EXPECT_NE(err.find("planner 'auto'"), std::string::npos) << err;
+  err.clear();
+  EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--planner",
+                 "fixed:cached"},
+                nullptr, &err),
+            1);
+  EXPECT_NE(err.find("planner 'fixed:cached'"), std::string::npos) << err;
+  std::string out;
+  EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--strategy", "pm",
+                 "--planner", "off", "--budget", "10", "--runs", "1"},
+                &out),
+            0);
+}
+
 TEST(Cli, AttackRejectsInvalidRobustnessCombos) {
   const std::string graph_path = scratch_path("recon_cli_combo_g.txt");
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "60", "--out",

@@ -6,9 +6,10 @@
 // of duplicates, and a CSR fill followed by a per-row sortedness repair.
 // barabasi_albert() dedups each arrival's picks in a std::unordered_set, and
 // assign_edge_probs() computes each Jaccard by merging both sorted neighbour
-// lists and then rebuilds the whole graph. The optimized code must agree
-// with them bit for bit: same edges, edge ids, CSR rows and probability bit
-// patterns.
+// lists and then rebuilds the whole graph, as assign_attributes() does after
+// its attribute draws. The optimized code must agree with them bit for bit:
+// same edges, edge ids, CSR rows and probability bit patterns (for the
+// in-place assign_attributes: the same attributes and edge set).
 #pragma once
 
 #include <algorithm>
@@ -220,6 +221,31 @@ inline CsrGraph assign_edge_probs(const CsrGraph& g, const graph::EdgeProbModel&
         break;
     }
     pending.add_edge(u, v, std::clamp(p, 0.0, 1.0));
+  }
+  return build(pending);
+}
+
+inline CsrGraph assign_attributes(const CsrGraph& g, unsigned dim,
+                                  std::uint16_t cardinality, double homophily,
+                                  std::uint64_t seed) {
+  util::Rng rng(seed);
+  const NodeId n = g.num_nodes;
+  std::vector<std::uint16_t> attrs(static_cast<std::size_t>(n) * dim);
+  for (auto& a : attrs) a = static_cast<std::uint16_t>(rng.below(cardinality));
+  for (NodeId u = 0; u < n; ++u) {
+    const auto nbrs = g.neighbors(u);
+    if (nbrs.empty()) continue;
+    for (unsigned d = 0; d < dim; ++d) {
+      if (rng.bernoulli(homophily)) {
+        const NodeId v = nbrs[rng.below(nbrs.size())];
+        attrs[static_cast<std::size_t>(u) * dim + d] =
+            attrs[static_cast<std::size_t>(v) * dim + d];
+      }
+    }
+  }
+  PendingEdges pending{n, {}, {}, {}, std::move(attrs), dim};
+  for (std::size_t e = 0; e < g.edge_u.size(); ++e) {
+    pending.add_edge(g.edge_u[e], g.edge_v[e], g.edge_prob[e]);
   }
   return build(pending);
 }

@@ -4,10 +4,13 @@
 // generator_oracle.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "generator_oracle.h"
@@ -424,6 +427,46 @@ TEST(GeneratorOracle, AssignEdgeProbsMatchesBitForBit) {
       }
     }
   }
+}
+
+TEST(GeneratorOracle, AssignAttributesMatchesTheRebuild) {
+  // In place, the input's edge ids and probabilities stay as they were;
+  // the rebuild the oracle transcribes renumbered edges in (u, v) order.
+  // Both carry the same attributes and the same edge set.
+  const auto edge_set = [](const oracle::CsrGraph& g) {
+    std::vector<std::tuple<NodeId, NodeId, std::uint64_t>> edges;
+    for (std::size_t e = 0; e < g.edge_u.size(); ++e) {
+      edges.emplace_back(g.edge_u[e], g.edge_v[e],
+                         std::bit_cast<std::uint64_t>(g.edge_prob[e]));
+    }
+    std::sort(edges.begin(), edges.end());
+    return edges;
+  };
+  for (const ProbInput& in : prob_inputs()) {
+    for (const std::uint64_t seed : {3ull, 11ull}) {
+      const oracle::CsrGraph want =
+          oracle::assign_attributes(oracle::from_graph(in.graph), 2, 5, 0.6, seed);
+      const Graph got = assign_attributes(in.graph, 2, 5, 0.6, seed);
+      oracle::CsrGraph kept = oracle::from_graph(in.graph);
+      kept.attributes = want.attributes;
+      kept.attribute_dim = want.attribute_dim;
+      EXPECT_EQ(oracle::first_difference(got, kept), "")
+          << in.name << " seed=" << seed;
+      EXPECT_EQ(edge_set(oracle::from_graph(got)), edge_set(want))
+          << in.name << " seed=" << seed;
+    }
+  }
+}
+
+TEST(Attributes, AssignKeepsTheRelabeling) {
+  const Graph ba = barabasi_albert(100, 2, 3);
+  const Graph relabeled = remap_graph(ba, degree_sort_permutation(ba));
+  ASSERT_TRUE(relabeled.is_relabeled());
+  const Graph g = assign_attributes(relabeled, 2, 4, 0.5, 7);
+  EXPECT_TRUE(g.is_relabeled());
+  EXPECT_TRUE(std::ranges::equal(g.orig_ids(), relabeled.orig_ids()));
+  EXPECT_EQ(g.attribute_dim(), 2u);
+  EXPECT_THROW(Graph(relabeled).set_attributes({1, 2, 3}, 2), std::invalid_argument);
 }
 
 TEST(GeneratorOracle, AssignEdgeProbsOnMappedGraph) {

@@ -1,7 +1,7 @@
 // Runtime-adaptive execution planner: determinism contract, checkpoint
-// round-trips, forced-tier parity with the legacy flag-driven dispatch, and
-// the per-instance shard-calibration regression (no process-global leakage
-// between same-process campaigns).
+// round-trips, forced-tier parity with the legacy flag-driven dispatch, the
+// shared planner-spec parser, and the per-instance shard-calibration
+// regression (no process-global leakage between same-process campaigns).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,10 +13,7 @@
 #include "core/attack.h"
 #include "core/checkpoint.h"
 #include "core/planner.h"
-#include "core/pm_arest.h"
-#include "core/retry_policy.h"
 #include "graph/generators.h"
-#include "sim/fault.h"
 #include "sim/problem.h"
 #include "solver/fallback.h"
 #include "solver/strategy_mip.h"
@@ -128,6 +125,30 @@ TEST(PlanStrategyTokens, NamesRoundTripAndGreedyAliases) {
   EXPECT_EQ(parsed, PlanStrategy::kCollapsedUncached);
   EXPECT_FALSE(parse_plan_strategy("turbo", &parsed));
   EXPECT_FALSE(parse_plan_strategy("", &parsed));
+}
+
+TEST(PlannerSpec, ParsesGrammarAndRefusesUnhostedStrategies) {
+  EXPECT_EQ(parse_planner_spec("off", "pm").mode, PlannerMode::kOff);
+  EXPECT_EQ(parse_planner_spec("auto", "fallback").mode, PlannerMode::kAuto);
+  const PlannerOptions fixed = parse_planner_spec("fixed:greedy", "fallback");
+  EXPECT_EQ(fixed.mode, PlannerMode::kFixed);
+  EXPECT_EQ(fixed.fixed_strategy, PlanStrategy::kCollapsedUncached);
+  EXPECT_EQ(parse_planner_spec("fixed:exact", "mip").fixed_strategy,
+            PlanStrategy::kSaaExact);
+  EXPECT_THROW(parse_planner_spec("sideways", "fallback"), std::invalid_argument);
+  EXPECT_THROW(parse_planner_spec("fixed:turbo", "mip"), std::invalid_argument);
+  // PM-AReST runs one selector: any planner other than off is refused, with
+  // a message that names the setting.
+  for (const char* spec : {"auto", "fixed:cached", "fixed:tree"}) {
+    try {
+      parse_planner_spec(spec, "pm");
+      ADD_FAILURE() << spec << " accepted for strategy pm";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("planner '"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(parse_planner_spec("auto", "random"), std::invalid_argument);
 }
 
 TEST(ExecutionPlannerUnit, PlanIsAPureFunctionOfStateAndFeatures) {
@@ -250,43 +271,6 @@ TEST(ExecutionPlannerUnit, MalformedStateBlobsAreRejected) {
 // Determinism across thread counts: identical calibration => identical plans
 // => bit-identical selections at 1, 2, and 8 workers.
 
-void expect_thread_count_invariant(const Problem& p, std::uint64_t world_seed) {
-  const sim::World w(p, world_seed);
-  sim::AttackTrace base;
-  std::vector<PlanRecord> base_plans;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{8}}) {
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-    PmArestOptions o;
-    o.batch_size = 5;
-    o.allow_retries = true;
-    o.pool = pool.get();
-    o.planner = auto_planner();
-    PmArest strategy(o);
-    const auto trace = run_attack(p, w, strategy, 40.0);
-    ASSERT_GT(trace.batches.size(), 0u);
-    const auto plans = plan_records(strategy.planner());
-    ASSERT_EQ(plans.size(), trace.batches.size());
-    if (threads == 0) {
-      base = trace;
-      base_plans = plans;
-    } else {
-      expect_traces_equal(base, trace,
-                          "threads=" + std::to_string(threads));
-      EXPECT_EQ(base_plans, plans) << "threads=" << threads;
-    }
-  }
-}
-
-TEST(PlannerDeterminism, AutoPlansIdenticalAcrossThreadCountsBA) {
-  expect_thread_count_invariant(ba_problem(11), 101);
-}
-
-TEST(PlannerDeterminism, AutoPlansIdenticalAcrossThreadCountsER) {
-  expect_thread_count_invariant(er_problem(12), 102);
-}
-
 TEST(PlannerDeterminism, FallbackAutoIdenticalAcrossThreadCountsFrozenClock) {
   const Problem p = er_problem(13, 50, 180);
   const sim::World w(p, 103);
@@ -325,18 +309,32 @@ TEST(PlannerDeterminism, FallbackAutoIdenticalAcrossThreadCountsFrozenClock) {
 // ---------------------------------------------------------------------------
 // Same-process campaign isolation (the calibration-globalism regression):
 // a planner-hosted campaign must not touch the process-wide calibration,
-// and two same-seed campaigns in one process must be identical.
+// and two same-seed campaigns in one process must be identical. The
+// fallback ladder's floor tier (batch_select) is the calibration's consumer:
+// pinned there with a pool, every batch runs a sharded scoring pass.
+
+solver::FallbackOptions floor_fallback(util::ThreadPool* pool) {
+  solver::FallbackOptions o;
+  o.batch_size = 5;
+  o.allow_retries = true;
+  o.scenarios_per_batch = 50;
+  o.exact_deadline_seconds = 0.0;
+  o.saa_deadline_seconds = 0.0;
+  o.pool = pool;
+  return o;
+}
 
 TEST(PlannerCalibration, PlannerRunsLeaveProcessCalibrationUntouched) {
   const std::uint64_t sentinel = 12345;
   process_shard_calibration().set_raw(sentinel);
   const Problem p = ba_problem(21);
   const sim::World w(p, 201);
-  PmArestOptions o;
-  o.batch_size = 6;
-  o.planner = auto_planner();
-  PmArest strategy(o);
+  util::ThreadPool pool(2);
+  solver::FallbackOptions o = floor_fallback(&pool);
+  o.planner = fixed_planner(PlanStrategy::kCollapsedUncached);
+  solver::FallbackStrategy strategy(o);
   run_attack(p, w, strategy, 30.0);
+  ASSERT_GT(strategy.tier_counts().lazy_greedy, 0u);
   EXPECT_EQ(process_shard_calibration().raw(), sentinel)
       << "planner campaign leaked into the process-wide shard calibration";
   reset_shard_calibration_for_test();
@@ -347,12 +345,11 @@ TEST(PlannerCalibration, PlannerRunsLeaveProcessCalibrationUntouched) {
 TEST(PlannerCalibration, BackToBackSameSeedCampaignsAreIdentical) {
   const Problem p = ba_problem(22);
   const sim::World w(p, 202);
+  util::ThreadPool pool(2);
   auto run_once = [&] {
-    PmArestOptions o;
-    o.batch_size = 5;
-    o.allow_retries = true;
-    o.planner = auto_planner();
-    PmArest strategy(o);
+    solver::FallbackOptions o = floor_fallback(&pool);
+    o.planner = fixed_planner(PlanStrategy::kCollapsedUncached);
+    solver::FallbackStrategy strategy(o);
     auto trace = run_attack(p, w, strategy, 40.0);
     return std::make_pair(std::move(trace), plan_records(strategy.planner()));
   };
@@ -365,12 +362,13 @@ TEST(PlannerCalibration, BackToBackSameSeedCampaignsAreIdentical) {
 TEST(PlannerCalibration, LegacyPathIsReproducibleAfterTestReset) {
   const Problem p = ba_problem(23);
   const sim::World w(p, 203);
+  util::ThreadPool pool(2);
   auto run_once = [&] {
     // Legacy planner-off path shares the process-wide calibration; the reset
     // hook restores cold-start state so reruns are reproducible by
     // construction, not just by the layout-neutrality argument.
     reset_shard_calibration_for_test();
-    PmArest strategy(PmArestOptions{.batch_size = 5, .use_cache = false});
+    solver::FallbackStrategy strategy(floor_fallback(&pool));
     return run_attack(p, w, strategy, 30.0);
   };
   const auto a = run_once();
@@ -381,141 +379,6 @@ TEST(PlannerCalibration, LegacyPathIsReproducibleAfterTestReset) {
 // ---------------------------------------------------------------------------
 // Checkpoint/resume: a resumed campaign replans identically from the restore
 // point, including under faults and retry backoff.
-
-TEST(PlannerCheckpoint, PmArestAutoResumeReplansIdentically) {
-  const Problem p = ba_problem(31);
-  const sim::World w(p, 301);
-  PmArestOptions o;
-  o.batch_size = 6;
-  o.allow_retries = true;
-  o.planner = auto_planner();
-
-  PmArest full_strategy(o);
-  const auto full = run_attack(p, w, full_strategy, 45.0);
-  const auto full_plans = plan_records(full_strategy.planner());
-
-  TempFile f("recon_planner_resume.ckpt");
-  AttackRunOptions stop;
-  stop.stop_after_rounds = 3;
-  stop.checkpoint_path = f.path;
-  PmArest first_half(o);
-  run_attack(p, w, first_half, 45.0, stop);
-  const auto first_plans = plan_records(first_half.planner());
-
-  const AttackCheckpoint cp = read_checkpoint_file(f.path);
-  const sim::World resumed_world(p, cp.world_seed);
-  AttackRunOptions resume;
-  resume.resume = &cp;
-  PmArest second_half(o);
-  const auto resumed = run_attack(p, resumed_world, second_half, 45.0, resume);
-  expect_traces_equal(full, resumed, "planner resume");
-
-  // The resumed planner's decision sequence must equal the uninterrupted
-  // run's suffix bit-for-bit — cached tier included. The cache-accounting
-  // overlay (sparse last-seen attempts + accounting-dirty set) rides in the
-  // checkpoint, so the rebuilt cache feeds the planner the same per-batch
-  // work counts the warm run observed instead of re-learning its work-ratio
-  // EWMA from a cold full-frontier rescore.
-  const auto tail = plan_records(second_half.planner());
-  ASSERT_EQ(first_plans.size() + tail.size(), full_plans.size());
-  for (std::size_t i = 0; i < first_plans.size(); ++i) {
-    EXPECT_EQ(full_plans[i], first_plans[i]) << "pre-stop decision " << i;
-  }
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    EXPECT_EQ(full_plans[first_plans.size() + i], tail[i])
-        << "post-resume decision " << i;
-  }
-}
-
-TEST(PlannerCheckpoint, PmArestResumeRestoresFullStateBitExact) {
-  const Problem p = ba_problem(34);
-  const sim::World w(p, 304);
-  PmArestOptions o;
-  o.batch_size = 6;
-  o.allow_retries = true;
-  o.planner = auto_planner();
-  // Freeze the wall-clock feeds (ns/unit EWMAs + shard calibration): every
-  // remaining bit of strategy state is then a pure function of the campaign.
-  o.planner.calibrate_time = false;
-
-  PmArest full_strategy(o);
-  const auto full = run_attack(p, w, full_strategy, 45.0);
-
-  TempFile f("recon_planner_fullstate.ckpt");
-  AttackRunOptions stop;
-  stop.stop_after_rounds = 3;
-  stop.checkpoint_path = f.path;
-  PmArest first_half(o);
-  run_attack(p, w, first_half, 45.0, stop);
-
-  const AttackCheckpoint cp = read_checkpoint_file(f.path);
-  const sim::World resumed_world(p, cp.world_seed);
-  AttackRunOptions resume;
-  resume.resume = &cp;
-  PmArest second_half(o);
-  const auto resumed = run_attack(p, resumed_world, second_half, 45.0, resume);
-  expect_traces_equal(full, resumed, "full-state resume");
-
-  // FULL strategy state — varying-k RNG words, the cache-accounting section,
-  // and the planner blob (EWMAs as IEEE-754 bit patterns) — is bit-identical
-  // across the resume, not just the selections it produces.
-  EXPECT_EQ(second_half.save_state(), full_strategy.save_state());
-
-  // Checkpoint -> checkpoint round-trip is lossless even before the rebuilt
-  // cache exists: a freshly restored strategy re-emits the same blob.
-  PmArest reloaded(o);
-  reloaded.restore_state(second_half.save_state());
-  EXPECT_EQ(reloaded.save_state(), second_half.save_state());
-}
-
-TEST(PlannerCheckpoint, PmArestAutoResumeUnderFaultsAndRetries) {
-  const Problem p = ba_problem(32);
-  const sim::World w(p, 302);
-  sim::FaultOptions fo;
-  fo.timeout_rate = 0.2;
-  fo.throttle_rate = 0.15;
-  fo.suspension.max_requests = 20;
-  fo.suspension.window_ticks = 3;
-  fo.suspension.lockout_ticks = 2;
-  fo.seed = 9;
-  RetryPolicy retry;
-  retry.backoff = RetryBackoff::kExponential;
-  retry.base_delay = 1.0;
-  retry.max_delay = 4.0;
-  retry.jitter = 0.25;
-  PmArestOptions o;
-  o.batch_size = 6;
-  o.allow_retries = true;
-  o.planner = auto_planner();
-
-  auto make_options = [&](sim::FaultModel& fm) {
-    AttackRunOptions ro;
-    ro.fault = &fm;
-    ro.retry = &retry;
-    return ro;
-  };
-
-  sim::FaultModel fm_full(fo);
-  PmArest full_strategy(o);
-  const auto full = run_attack(p, w, full_strategy, 45.0, make_options(fm_full));
-
-  TempFile f("recon_planner_faulted.ckpt");
-  sim::FaultModel fm_half(fo);
-  auto stop = make_options(fm_half);
-  stop.stop_after_rounds = 3;
-  stop.checkpoint_path = f.path;
-  PmArest first_half(o);
-  run_attack(p, w, first_half, 45.0, stop);
-
-  const AttackCheckpoint cp = read_checkpoint_file(f.path);
-  const sim::World resumed_world(p, cp.world_seed);
-  sim::FaultModel fm_resume(fo);
-  auto resume = make_options(fm_resume);
-  resume.resume = &cp;
-  PmArest second_half(o);
-  const auto resumed = run_attack(p, resumed_world, second_half, 45.0, resume);
-  expect_traces_equal(full, resumed, "planner resume under faults");
-}
 
 TEST(PlannerCheckpoint, FallbackAutoResumeReplansIdentically) {
   const Problem p = er_problem(33, 50, 180);
@@ -560,63 +423,9 @@ TEST(PlannerCheckpoint, FallbackAutoResumeReplansIdentically) {
   EXPECT_EQ(second_half.save_state(), full_strategy.save_state());
 }
 
-TEST(PlannerCheckpoint, StateBlobPresentOnlyWhenEnabled) {
-  PmArestOptions off;
-  off.batch_size = 4;
-  PmArest legacy(off);
-  const Problem p = ba_problem(34);
-  const sim::World w(p, 304);
-  run_attack(p, w, legacy, 20.0);
-  // Planner off: the state line is byte-identical to pre-planner builds.
-  EXPECT_EQ(legacy.save_state().find("planner"), std::string::npos);
-
-  PmArestOptions on = off;
-  on.planner = auto_planner();
-  PmArest planned(on);
-  run_attack(p, w, planned, 20.0);
-  EXPECT_NE(planned.save_state().find("planner"), std::string::npos);
-
-  // A planner-enabled strategy refuses a planner-less (legacy) blob.
-  PmArest target(on);
-  EXPECT_THROW(target.restore_state(legacy.save_state()),
-               std::invalid_argument);
-  EXPECT_NO_THROW(target.restore_state(planned.save_state()));
-  EXPECT_EQ(target.save_state(), planned.save_state());
-}
-
 // ---------------------------------------------------------------------------
 // Forced-tier parity: `fixed:<s>` must reproduce the legacy flag-driven
 // dispatch byte for byte (same selector, same arguments).
-
-TEST(PlannerParity, PmFixedTiersMatchLegacyFlags) {
-  const Problem p = ba_problem(41, 60);
-  const sim::World w(p, 401);
-  const auto run_pm = [&](PmArestOptions o) {
-    PmArest s(o);
-    return run_attack(p, w, s, 24.0);
-  };
-  struct Case {
-    PlanStrategy fixed;
-    bool use_cache;
-    bool use_branch_tree;
-    int k;
-  };
-  for (const Case c : {Case{PlanStrategy::kCollapsedCached, true, false, 5},
-                       Case{PlanStrategy::kCollapsedUncached, false, false, 5},
-                       Case{PlanStrategy::kBranchTree, false, true, 3}}) {
-    PmArestOptions legacy;
-    legacy.batch_size = c.k;
-    legacy.allow_retries = true;
-    legacy.use_cache = c.use_cache;
-    legacy.use_branch_tree = c.use_branch_tree;
-    PmArestOptions forced = legacy;
-    forced.use_cache = true;  // ignored: planner overrides dispatch
-    forced.use_branch_tree = false;
-    forced.planner = fixed_planner(c.fixed);
-    expect_traces_equal(run_pm(legacy), run_pm(forced),
-                        std::string("pm fixed:") + plan_strategy_name(c.fixed));
-  }
-}
 
 TEST(PlannerParity, FallbackFixedTiersMatchLegacyLadder) {
   const Problem p = er_problem(42, 50, 180);
@@ -727,12 +536,6 @@ TEST(PlannerParity, MipFixedTiersMatchLegacyFlags) {
 }
 
 TEST(PlannerParity, InadmissibleFixedStrategiesAreRejected) {
-  PmArestOptions pm;
-  pm.planner = fixed_planner(PlanStrategy::kSaaExact);
-  EXPECT_THROW(PmArest{pm}, std::invalid_argument);
-  pm.planner = fixed_planner(PlanStrategy::kSaaGreedy);
-  EXPECT_THROW(PmArest{pm}, std::invalid_argument);
-
   solver::FallbackOptions fb;
   fb.planner = fixed_planner(PlanStrategy::kCollapsedCached);
   EXPECT_THROW(solver::FallbackStrategy{fb}, std::invalid_argument);

@@ -244,6 +244,20 @@ TEST(CampaignService, ReplacingALiveProblemThrows) {
   EXPECT_NO_THROW(registry.register_problem("ba", ba_problem(4)));
 }
 
+TEST(CampaignProtocol, PmSubmitRefusesAPlanner) {
+  // PM-AReST runs one selector: strategy=pm takes planner=off only, and a
+  // refused SUBMIT queues nothing.
+  TempDir dir;
+  CampaignRegistry registry({dir.path, 2});
+  registry.register_problem("ba", ba_problem(3));
+  bool shutdown = false;
+  const std::string reply = handle_protocol_line(
+      "SUBMIT problem=ba strategy=pm planner=auto", registry, &shutdown);
+  EXPECT_EQ(reply.rfind("ERR planner 'auto'", 0), 0u) << reply;
+  EXPECT_NE(reply.find("strategy mip or fallback"), std::string::npos) << reply;
+  EXPECT_EQ(handle_protocol_line("LIST", registry, &shutdown), "OK 0");
+}
+
 TEST(CampaignProtocol, SessionOverStreams) {
   TempDir dir;
   CampaignRegistry registry({dir.path, 2});
