@@ -13,6 +13,7 @@
 #include "core/attack.h"
 #include "core/checkpoint.h"
 #include "core/planner.h"
+#include "core/pm_arest.h"
 #include "graph/generators.h"
 #include "sim/problem.h"
 #include "solver/fallback.h"
@@ -271,6 +272,47 @@ TEST(ExecutionPlannerUnit, MalformedStateBlobsAreRejected) {
 // Determinism across thread counts: identical calibration => identical plans
 // => bit-identical selections at 1, 2, and 8 workers.
 
+// The MIP host's auto planner with no deadline configured: the live ns/unit
+// calibration is on but steers nothing, so the decision sequence is a pure
+// function of the campaign and must not depend on the worker count.
+void expect_thread_count_invariant(const Problem& p, std::uint64_t world_seed) {
+  const sim::World w(p, world_seed);
+  sim::AttackTrace base;
+  std::vector<PlanRecord> base_plans;
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
+                                    std::size_t{8}}) {
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+    solver::MipStrategyOptions o;
+    o.batch_size = 3;
+    o.scenarios_per_batch = 60;
+    o.candidate_cap = 8;
+    o.pool = pool.get();
+    o.planner = auto_planner();
+    solver::MipBatchStrategy strategy(o);
+    const auto trace = run_attack(p, w, strategy, 12.0);
+    ASSERT_GT(trace.batches.size(), 0u);
+    const auto plans = plan_records(strategy.planner());
+    ASSERT_EQ(plans.size(), trace.batches.size());
+    if (threads == 0) {
+      base = trace;
+      base_plans = plans;
+    } else {
+      expect_traces_equal(base, trace,
+                          "threads=" + std::to_string(threads));
+      EXPECT_EQ(base_plans, plans) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(PlannerDeterminism, AutoPlansIdenticalAcrossThreadCountsBA) {
+  expect_thread_count_invariant(ba_problem(11), 101);
+}
+
+TEST(PlannerDeterminism, AutoPlansIdenticalAcrossThreadCountsER) {
+  expect_thread_count_invariant(er_problem(12), 102);
+}
+
 TEST(PlannerDeterminism, FallbackAutoIdenticalAcrossThreadCountsFrozenClock) {
   const Problem p = er_problem(13, 50, 180);
   const sim::World w(p, 103);
@@ -421,6 +463,74 @@ TEST(PlannerCheckpoint, FallbackAutoResumeReplansIdentically) {
   // With calibrate_time frozen the fallback's full state (planner blob)
   // is bit-identical across the resume as well.
   EXPECT_EQ(second_half.save_state(), full_strategy.save_state());
+}
+
+// PM-AReST hosts no planner: its state is the four varying-k RNG words, and
+// a resumed campaign must end in the same full state as an uninterrupted one.
+TEST(PlannerCheckpoint, PmArestResumeRestoresFullStateBitExact) {
+  const Problem p = ba_problem(34);
+  const sim::World w(p, 304);
+  PmArestOptions o;
+  o.batch_size = 6;
+  o.allow_retries = true;
+
+  PmArest full_strategy(o);
+  const auto full = run_attack(p, w, full_strategy, 45.0);
+
+  TempFile f("recon_planner_fullstate.ckpt");
+  AttackRunOptions stop;
+  stop.stop_after_rounds = 3;
+  stop.checkpoint_path = f.path;
+  PmArest first_half(o);
+  run_attack(p, w, first_half, 45.0, stop);
+
+  const AttackCheckpoint cp = read_checkpoint_file(f.path);
+  const sim::World resumed_world(p, cp.world_seed);
+  AttackRunOptions resume;
+  resume.resume = &cp;
+  PmArest second_half(o);
+  const auto resumed = run_attack(p, resumed_world, second_half, 45.0, resume);
+  expect_traces_equal(full, resumed, "full-state resume");
+
+  // Full strategy state, not just the selections it produces, is
+  // bit-identical across the resume, and it carries no planner section.
+  EXPECT_EQ(second_half.save_state(), full_strategy.save_state());
+  EXPECT_EQ(full_strategy.save_state().find("planner"), std::string::npos);
+
+  // Checkpoint -> checkpoint round-trip is lossless even before the rebuilt
+  // cache exists: a freshly restored strategy re-emits the same blob.
+  PmArest reloaded(o);
+  reloaded.restore_state(second_half.save_state());
+  EXPECT_EQ(reloaded.save_state(), second_half.save_state());
+}
+
+TEST(PlannerCheckpoint, StateBlobPresentOnlyWhenEnabled) {
+  const Problem p = er_problem(35, 50, 180);
+  const sim::World w(p, 305);
+  solver::FallbackOptions off;
+  off.batch_size = 2;
+  off.scenarios_per_batch = 60;
+  off.exact_deadline_seconds = 30.0;
+  off.saa_deadline_seconds = 30.0;
+  off.candidate_cap = 8;
+  solver::FallbackStrategy legacy(off);
+  run_attack(p, w, legacy, 6.0);
+  // Planner off: the state line is byte-identical to pre-planner builds.
+  EXPECT_EQ(legacy.save_state().find("planner"), std::string::npos);
+
+  solver::FallbackOptions on = off;
+  on.planner = auto_planner();
+  on.planner.calibrate_time = false;
+  solver::FallbackStrategy planned(on);
+  run_attack(p, w, planned, 6.0);
+  EXPECT_NE(planned.save_state().find("planner"), std::string::npos);
+
+  // A planner-enabled strategy refuses a planner-less (legacy) blob.
+  solver::FallbackStrategy target(on);
+  EXPECT_THROW(target.restore_state(legacy.save_state()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(target.restore_state(planned.save_state()));
+  EXPECT_EQ(target.save_state(), planned.save_state());
 }
 
 // ---------------------------------------------------------------------------
