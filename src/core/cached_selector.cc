@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <queue>
 
 #include "core/lazy_greedy.h"
@@ -68,14 +69,56 @@ class CachedSelector::PickFrontier {
   std::priority_queue<HeapEntry> repush_;
 };
 
+namespace {
+
+/// Γ₀ base scores of `nodes` into out[u], divided by cost exactly as
+/// rescore_node divides a marginal_gain score.
+void score_empty(const sim::Problem& problem, MarginalPolicy policy, bool cost_sensitive,
+                 std::span<const NodeId> nodes, std::span<double> out) {
+  empty_marginal_gains(problem, policy, nodes, out);
+  if (cost_sensitive) {
+    for (const NodeId u : nodes) out[u] /= problem.cost_of(u);
+  }
+}
+
+}  // namespace
+
+std::shared_ptr<EmptyScores> compute_empty_scores(const sim::Problem& problem,
+                                                  MarginalPolicy policy,
+                                                  bool cost_sensitive,
+                                                  util::ThreadPool* pool) {
+  auto memo = std::make_shared<EmptyScores>();
+  memo->problem = &problem;
+  memo->policy = policy;
+  memo->cost_sensitive = cost_sensitive;
+  std::vector<NodeId> nodes(problem.graph.num_nodes());
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  memo->scores.assign(nodes.size(), 0.0);
+  const std::span<const NodeId> all(nodes);
+  if (pool != nullptr) {
+    pool->parallel_for(0, nodes.size(), [&](std::size_t lo, std::size_t hi) {
+      score_empty(problem, policy, cost_sensitive, all.subspan(lo, hi - lo), memo->scores);
+    });
+  } else {
+    score_empty(problem, policy, cost_sensitive, all, memo->scores);
+  }
+  return memo;
+}
+
 CachedSelector::CachedSelector(const sim::Observation& obs, MarginalPolicy policy,
-                               bool cost_sensitive, util::ThreadPool* pool)
+                               bool cost_sensitive, util::ThreadPool* pool,
+                               std::shared_ptr<const EmptyScores> empty_scores)
     : obs_(&obs),
       policy_(policy),
       cost_sensitive_(cost_sensitive),
       pool_(pool),
       state_(obs.problem().graph.num_nodes()) {
   const NodeId n = obs.problem().graph.num_nodes();
+  if (empty_scores != nullptr && empty_scores->problem == &obs.problem() &&
+      empty_scores->policy == policy && empty_scores->cost_sensitive == cost_sensitive &&
+      empty_scores->scores.size() == n) {
+    empty_ = std::move(empty_scores);
+  }
   cached_.assign(n, 0.0);
   dirty_.assign(n, 1);  // everything needs an initial score
   pos_.assign(n, kNotInHeap);
@@ -199,7 +242,29 @@ void CachedSelector::heap_rebuild() {
 // ---------------------------------------------------------------------------
 // Batch-start refresh
 
+void CachedSelector::rescore_pristine(std::span<const NodeId> nodes) {
+  if (empty_ != nullptr) {
+    for (const NodeId u : nodes) cached_[u] = empty_->scores[u];
+  } else {
+    score_empty(obs_->problem(), policy_, cost_sensitive_, nodes, cached_);
+  }
+  for (const NodeId u : nodes) dirty_[u] = 0;
+  rescores_.fetch_add(nodes.size(), std::memory_order_relaxed);
+}
+
 void CachedSelector::rescore(const std::vector<NodeId>& nodes) {
+  if (obs_->pristine()) {
+    // No friend yet, so no node is excluded by rescore_node's friend test.
+    const std::span<const NodeId> all(nodes);
+    if (pool_ != nullptr && empty_ == nullptr) {
+      pool_->parallel_for(0, nodes.size(), [&](std::size_t lo, std::size_t hi) {
+        rescore_pristine(all.subspan(lo, hi - lo));
+      });
+    } else {
+      rescore_pristine(all);
+    }
+    return;
+  }
   if (pool_ != nullptr) {
     // Distinct nodes touch distinct cache slots, so the only shared write
     // is the (atomic) rescore counter.

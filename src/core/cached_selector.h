@@ -42,6 +42,18 @@
 //    dirty most of the graph — one make_heap over the frontier replaces the
 //    per-node sifts.
 //
+// The first batch. A campaign's first refresh_full scores the whole
+// frontier on an empty observation (Observation::pristine(): no friend, no
+// revealed edge — rejects and no-responses keep it so). There every per-arc
+// state load of marginal_gain is a constant, so a pristine rescore runs the
+// state-free Γ₀ pass, empty_marginal_gains (core/marginal.h), which reads
+// only the problem and is bit-identical to marginal_gain; any other
+// observation takes the marginal_gain path. When the selector was handed a
+// Γ₀ memo (EmptyScores) built for its problem, policy and cost mode, a
+// pristine rescore copies the memo instead of scoring: a service-resident
+// problem pays for Γ₀ once at CampaignRegistry::register_problem, not once
+// per campaign.
+//
 // With a thread pool the dirty rescore fans out over the pool (each node's
 // score is independent; the rescore counter is atomic), while the pick loop
 // (core/lazy_greedy.h, shared with batch_select) stays sequential for
@@ -64,6 +76,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/batch_state.h"
@@ -73,14 +87,35 @@
 
 namespace recon::core {
 
+/// Γ₀ memo: every node's base score on the empty observation of one
+/// problem, under one policy and cost mode — exactly what a selector's
+/// pristine rescore caches. Immutable once built and shared read-only
+/// between the selectors of campaigns on that problem.
+struct EmptyScores {
+  const sim::Problem* problem = nullptr;
+  MarginalPolicy policy = MarginalPolicy::kWeighted;
+  bool cost_sensitive = false;
+  std::vector<double> scores;  ///< size n, cost-adjusted when cost_sensitive
+};
+
+/// Builds the Γ₀ memo of `problem` (one pool fan-out when `pool` is set).
+std::shared_ptr<EmptyScores> compute_empty_scores(const sim::Problem& problem,
+                                                  MarginalPolicy policy,
+                                                  bool cost_sensitive,
+                                                  util::ThreadPool* pool = nullptr);
+
 class CachedSelector {
  public:
   /// Binds to an observation (must outlive the selector). `policy` and
   /// `cost_sensitive` are fixed for the selector's lifetime; batch size,
   /// retries, and budget vary per call. When `pool` is non-null, dirty
   /// candidates are re-scored in parallel at the start of each batch.
+  /// `empty_scores`, when it was built for this problem, policy and cost
+  /// mode, seeds pristine rescoring instead of scoring; otherwise it is
+  /// ignored.
   CachedSelector(const sim::Observation& obs, MarginalPolicy policy,
-                 bool cost_sensitive = false, util::ThreadPool* pool = nullptr);
+                 bool cost_sensitive = false, util::ThreadPool* pool = nullptr,
+                 std::shared_ptr<const EmptyScores> empty_scores = nullptr);
 
   /// Must be called after every observation mutation, with the same node.
   void notify_accept(graph::NodeId u);
@@ -92,7 +127,8 @@ class CachedSelector {
                                           double remaining_budget);
 
   /// Number of base-score recomputations performed so far (for tests and
-  /// the cache-efficiency microbenchmark).
+  /// the cache-efficiency microbenchmark). A score seeded from the Γ₀ memo
+  /// counts as one, so the count does not depend on the memo.
   std::uint64_t rescore_count() const noexcept {
     return rescores_.load(std::memory_order_relaxed);
   }
@@ -131,7 +167,10 @@ class CachedSelector {
   /// after a loosening call, else the dirty-list path.
   void refresh_full();
   void refresh_dirty();
+  /// Recomputes cached_ for `nodes` and clears their dirty bits; on a
+  /// pristine observation through the state-free Γ₀ pass or the memo.
   void rescore(const std::vector<graph::NodeId>& nodes);
+  void rescore_pristine(std::span<const graph::NodeId> nodes);
 
   // Addressable heap over heap_ with pos_[node] = slot index.
   static bool better(const Slot& a, const Slot& b) noexcept;
@@ -148,6 +187,7 @@ class CachedSelector {
   MarginalPolicy policy_;
   bool cost_sensitive_;
   util::ThreadPool* pool_;
+  std::shared_ptr<const EmptyScores> empty_;  ///< null unless it matches
   std::vector<double> cached_;        ///< base Δf (cost-adjusted) per node
   std::vector<std::uint8_t> dirty_;   ///< cache invalid flags
   std::vector<graph::NodeId> dirty_list_;  ///< nodes marked since last batch

@@ -15,8 +15,11 @@
 //    Bi and unconditional Bf(u).
 #pragma once
 
+#include <span>
+
 #include "graph/graph.h"
 #include "sim/observation.h"
+#include "sim/problem.h"
 
 namespace recon::core {
 
@@ -26,5 +29,13 @@ enum class MarginalPolicy { kWeighted, kPaperLiteral };
 /// no batch context. Requires u not already a friend.
 double marginal_gain(const sim::Observation& obs, graph::NodeId u,
                      MarginalPolicy policy = MarginalPolicy::kWeighted);
+
+/// Γ₀(u) = Δf(u | ∅) for every u in `nodes`, written to out[u] (`out` is
+/// indexed by node id). The empty observation — no friend, no FoF, every
+/// edge unknown, no mutual friend — is folded in, so the pass reads only the
+/// problem: bit-identical to marginal_gain on a fresh Observation (same
+/// terms in the same order), without its per-arc state loads.
+void empty_marginal_gains(const sim::Problem& problem, MarginalPolicy policy,
+                          std::span<const graph::NodeId> nodes, std::span<double> out);
 
 }  // namespace recon::core

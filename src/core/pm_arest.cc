@@ -10,8 +10,8 @@ namespace recon::core {
 
 using graph::NodeId;
 
-PmArest::PmArest(PmArestOptions options)
-    : options_(options), rng_(options.seed) {
+PmArest::PmArest(PmArestOptions options, std::shared_ptr<const EmptyScores> empty_scores)
+    : options_(options), empty_scores_(std::move(empty_scores)), rng_(options.seed) {
   if (options_.batch_size <= 0) {
     throw std::invalid_argument("PmArest: batch_size must be positive");
   }
@@ -89,7 +89,7 @@ void PmArest::sync_cache(const sim::Observation& obs) {
   if (fresh) {
     cache_ = std::make_unique<CachedSelector>(obs, options_.policy,
                                               options_.cost_sensitive,
-                                              options_.pool);
+                                              options_.pool, empty_scores_);
     cache_obs_ = &obs;
     last_attempts_.assign(obs.problem().graph.num_nodes(), 0);
     // A fresh cache starts all-dirty, so pre-existing observation state is

@@ -51,7 +51,11 @@ struct PmArestOptions {
 
 class PmArest : public Strategy {
  public:
-  explicit PmArest(PmArestOptions options);
+  /// `empty_scores` is an optional Γ₀ memo of the problem the strategy
+  /// will attack (core/cached_selector.h); the cache seeds its first
+  /// pristine scoring from it when it matches, and ignores it otherwise.
+  explicit PmArest(PmArestOptions options,
+                   std::shared_ptr<const EmptyScores> empty_scores = nullptr);
 
   std::string name() const override;
   void begin(const sim::Problem& problem, double budget) override;
@@ -77,6 +81,9 @@ class PmArest : public Strategy {
   // lint:ckpt-coverage-ok(construction-time config; the harness rebuilds the
   // strategy with identical options before calling restore_state)
   PmArestOptions options_;
+  // lint:ckpt-coverage-ok(immutable Γ₀ memo handed over at construction;
+  // a pure function of the problem, so the resuming host passes it again)
+  std::shared_ptr<const EmptyScores> empty_scores_;
   // lint:ckpt-coverage-ok(re-derived in begin() from options_ and the
   // fault-model retry budget on every run, including resumed ones)
   std::uint32_t attempt_cap_ = 0;

@@ -281,6 +281,9 @@ void structural_probs(const Graph& g, const EdgeProbModel& model,
     const NodeId dw = g.degree(w);
     bool stamped = false;
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      // The row scans below are memory-bound: start loading the row of the
+      // neighbour two ahead while this one is scanned.
+      if (i + 2 < nbrs.size()) __builtin_prefetch(g.neighbors(nbrs[i + 2]).data());
       const NodeId x = nbrs[i];
       const NodeId dx = g.degree(x);
       if (dx > dw || (dx == dw && x < w)) continue;  // x owns this edge

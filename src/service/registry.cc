@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/attack.h"
+#include "core/cached_selector.h"
 #include "core/checkpoint_chain.h"
 #include "core/planner.h"
 #include "core/pm_arest.h"
@@ -27,8 +28,9 @@ namespace {
 /// (cli/commands.cc make_factory), sharing the registry's resident pool.
 /// Batches are bit-identical at every pool size, so sharing one pool across
 /// concurrent campaigns cannot perturb any campaign's trace.
-std::unique_ptr<core::Strategy> make_strategy(const CampaignSpec& spec,
-                                              util::ThreadPool* pool) {
+std::unique_ptr<core::Strategy> make_strategy(
+    const CampaignSpec& spec, util::ThreadPool* pool,
+    std::shared_ptr<const core::EmptyScores> empty_scores = nullptr) {
   if (spec.batch_size <= 0) {
     throw std::invalid_argument("campaign batch_size must be positive");
   }
@@ -42,7 +44,7 @@ std::unique_ptr<core::Strategy> make_strategy(const CampaignSpec& spec,
     o.batch_size = spec.batch_size;
     o.allow_retries = spec.allow_retries;
     o.pool = pool;
-    return std::make_unique<core::PmArest>(o);
+    return std::make_unique<core::PmArest>(o, std::move(empty_scores));
   }
   if (spec.strategy == "mip") {
     solver::MipStrategyOptions o;
@@ -126,6 +128,12 @@ CampaignRegistry::~CampaignRegistry() {
 
 void CampaignRegistry::register_problem(const std::string& name,
                                         sim::Problem problem) {
+  // Γ₀ under the policy and cost mode make_strategy leaves pm campaigns
+  // at, scored outside the lock. The scores do not depend on where the
+  // problem lives, so the memo is re-pointed at its resident copy below.
+  const core::PmArestOptions served;
+  std::shared_ptr<core::EmptyScores> memo =
+      core::compute_empty_scores(problem, served.policy, served.cost_sensitive, &pool_);
   std::lock_guard<std::mutex> lk(mu_);
   if (problems_.count(name) != 0) {
     for (const auto& [id, c] : campaigns_) {
@@ -136,7 +144,10 @@ void CampaignRegistry::register_problem(const std::string& name,
       }
     }
   }
-  problems_.insert_or_assign(name, std::move(problem));
+  Resident& r = problems_[name];
+  r.problem = std::move(problem);
+  memo->problem = &r.problem;
+  r.empty_scores = std::move(memo);
 }
 
 std::vector<std::string> CampaignRegistry::problem_names() const {
@@ -171,7 +182,8 @@ std::string CampaignRegistry::submit(const CampaignSpec& spec) {
 
   auto c = std::make_unique<Campaign>();
   c->spec = spec;
-  c->problem = &it->second;
+  c->problem = &it->second.problem;
+  c->empty_scores = it->second.empty_scores;
   c->status.trace_path = options_.state_dir + "/" + id + ".trace";
   c->status.checkpoint_base = options_.state_dir + "/" + id + ".ckpt";
   Campaign& ref = *c;
@@ -194,7 +206,7 @@ void CampaignRegistry::drive(const std::string& id, Campaign& c) {
     }
     c.cv.notify_all();
 
-    auto strategy = make_strategy(c.spec, &pool_);
+    auto strategy = make_strategy(c.spec, &pool_, c.empty_scores);
     core::CheckpointChain chain(c.status.checkpoint_base);
     std::optional<core::LoadedGeneration> loaded;
     if (resuming) {

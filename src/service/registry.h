@@ -40,6 +40,10 @@
 #include "sim/problem.h"
 #include "util/thread_pool.h"
 
+namespace recon::core {
+struct EmptyScores;
+}  // namespace recon::core
+
 namespace recon::service {
 
 /// One campaign submission. Everything that shapes the attack is in here
@@ -103,6 +107,10 @@ class CampaignRegistry {
 
   /// Registers (or replaces) a named problem. Campaigns hold pointers into
   /// this map, so replacing a problem while campaigns run on it throws.
+  /// Also scores the problem's empty-observation frontier (Γ₀) once, for
+  /// the policy and cost mode of served pm campaigns, and keeps it beside
+  /// the problem: every pm campaign on it seeds its first batch from that
+  /// memo instead of scoring the frontier again.
   void register_problem(const std::string& name, sim::Problem problem);
   std::vector<std::string> problem_names() const;
 
@@ -133,6 +141,8 @@ class CampaignRegistry {
   struct Campaign {
     CampaignSpec spec;
     const sim::Problem* problem = nullptr;  ///< into problems_ (stable)
+    /// The problem's Γ₀ memo at submission (immutable, shared).
+    std::shared_ptr<const core::EmptyScores> empty_scores;
     // lint:guard-ok(mu pairs with cv — std::condition_variable needs the
     // native std::mutex, which util::Mutex cannot hand to a wait(). It
     // guards `status` and `resume_from_checkpoint`; every access site in
@@ -162,7 +172,11 @@ class CampaignRegistry {
   // (Campaign::mu), so driver threads hold references without it. Every
   // map access in registry.cc takes a lock_guard on mu_)
   mutable std::mutex mu_;
-  std::map<std::string, sim::Problem> problems_;
+  struct Resident {
+    sim::Problem problem;
+    std::shared_ptr<const core::EmptyScores> empty_scores;  ///< Γ₀ memo
+  };
+  std::map<std::string, Resident> problems_;
   std::map<std::string, std::unique_ptr<Campaign>> campaigns_;
   std::uint64_t next_seq_ = 0;
 };

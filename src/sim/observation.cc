@@ -62,6 +62,7 @@ BenefitBreakdown Observation::record_accept(NodeId u,
   node_state_[u] = NodeState::kAccepted;
   is_friend_[u] = 1;
   friends_.push_back(u);
+  pristine_ = false;
 
   BenefitBreakdown delta;
   delta.friends += problem_->benefit.bf[u];
@@ -157,6 +158,9 @@ void Observation::restore(std::span<const NodeState> node_states,
     if (!is_friend_[u] && mutual_[u] > 0) is_fof_[u] = 1;
   }
   benefit_ = recompute_benefit();
+  pristine_ = friends_.empty() &&
+              std::all_of(edge_state_.begin(), edge_state_.end(),
+                          [](EdgeState es) { return es == EdgeState::kUnknown; });
   retry_after_.clear();
   clock_ = 0.0;
   touched_.clear();

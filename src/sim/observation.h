@@ -50,6 +50,12 @@ class Observation {
   /// existing edges.
   std::uint32_t mutual_friends(graph::NodeId u) const noexcept { return mutual_[u]; }
 
+  /// True while the attacker has no friend and no edge is revealed — the
+  /// empty observation of a campaign's first batch. Rejects and
+  /// no-responses keep it, since they touch no mask, edge or mutual
+  /// counter; every scoring input then equals a fresh observation's. O(1).
+  bool pristine() const noexcept { return pristine_; }
+
   /// The attacker's current friend list (acceptance order).
   std::span<const graph::NodeId> friends() const noexcept { return friends_; }
 
@@ -166,6 +172,7 @@ class Observation {
   std::vector<graph::NodeId> touched_;
   std::uint64_t journal_generation_ = 0;
   double clock_ = 0.0;
+  bool pristine_ = true;
 };
 
 }  // namespace recon::sim

@@ -170,6 +170,76 @@ TEST(CachedSelector, PoolDoesNotChangeRescoreCount) {
   EXPECT_EQ(seq.rescore_count(), par.rescore_count());
 }
 
+TEST(CachedSelector, PristineObservationMatchesUncachedUntilAndAfterAnAccept) {
+  // Rejects and no-responses keep the observation pristine, so the first
+  // refreshes — fresh, or over a resumed rejects-only prefix — take the Γ₀
+  // pass or the memo; the first accept sends every later rescore back to
+  // marginal_gain. Each variant must match the uncached selector throughout.
+  const Problem p = cache_problem(6, 300);
+  const sim::World w(p, 41);
+  const auto memo = compute_empty_scores(p, MarginalPolicy::kWeighted, false);
+  util::ThreadPool pool(3);
+  for (int variant = 0; variant < 4; ++variant) {
+    Observation obs(p);
+    for (NodeId u = 0; u < 300; u += 37) obs.record_reject(u);
+    obs.record_no_response(5);
+    ASSERT_TRUE(obs.pristine());
+    CachedSelector cached(obs, MarginalPolicy::kWeighted, false,
+                          (variant & 1) ? &pool : nullptr,
+                          (variant & 2) ? memo : nullptr);
+    double budget = 90.0;
+    bool accepted = false;
+    for (int round = 0; budget > 0; ++round) {
+      BatchSelectOptions bs;
+      bs.batch_size = 5;
+      bs.allow_retries = true;
+      bs.max_attempts_per_node = 3;
+      bs.remaining_budget = budget;
+      const auto reference = batch_select(obs, bs);
+      const auto fast = cached.select_batch(5, true, 3, budget);
+      ASSERT_EQ(fast, reference) << "variant " << variant << " round " << round;
+      if (fast.empty()) break;
+      for (NodeId u : fast) {
+        // The first two rounds are all rejected; then the world decides.
+        if (round >= 2 && w.attempt_accept(u, obs.attempts(u), obs.acceptance_prob(u))) {
+          obs.record_accept(u, w.true_neighbors(u));
+          cached.notify_accept(u);
+          accepted = true;
+        } else {
+          obs.record_reject(u);
+          cached.notify_reject(u);
+        }
+        budget -= 1.0;
+      }
+      EXPECT_EQ(obs.pristine(), !accepted) << "variant " << variant;
+    }
+    EXPECT_TRUE(accepted);
+  }
+}
+
+TEST(CachedSelector, MismatchedMemoIsIgnored) {
+  // A memo built for another policy, cost mode or problem must not seed
+  // the selector.
+  const Problem p = cache_problem(7, 300);
+  Problem costly = p;
+  costly.cost.assign(p.graph.num_nodes(), 1.0);
+  for (NodeId u = 0; u < p.graph.num_nodes(); u += 2) costly.cost[u] = 2.5;
+  const Problem other = cache_problem(8, 300);
+  const std::shared_ptr<const EmptyScores> wrong[] = {
+      compute_empty_scores(p, MarginalPolicy::kPaperLiteral, false),
+      compute_empty_scores(costly, MarginalPolicy::kWeighted, true),
+      compute_empty_scores(other, MarginalPolicy::kWeighted, false)};
+  for (std::size_t i = 0; i < std::size(wrong); ++i) {
+    Observation obs(p);
+    CachedSelector cached(obs, MarginalPolicy::kWeighted, false, nullptr, wrong[i]);
+    BatchSelectOptions bs;
+    bs.batch_size = 8;
+    bs.remaining_budget = 300.0;
+    EXPECT_EQ(cached.select_batch(8, false, 1, 300.0), batch_select(obs, bs))
+        << "memo " << i;
+  }
+}
+
 TEST(PmArestCache, CachePlusPoolMatchesSequentialAttack) {
   // The pool-backed cache must reproduce the exact attack of the cache-less,
   // pool-less selector.

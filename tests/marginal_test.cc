@@ -3,8 +3,16 @@
 // partial observations.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "core/batch_state.h"
+#include "core/cached_selector.h"
 #include "core/marginal.h"
 #include "graph/builder.h"
+#include "graph/format.h"
 #include "graph/generators.h"
 #include "sim/observation.h"
 #include "sim/problem.h"
@@ -214,6 +222,144 @@ TEST(Marginal, MutualBoostCanRaiseMarginals) {
     }
   }
   EXPECT_TRUE(found_increase);
+}
+
+// The state-free Γ₀ pass must reproduce marginal_gain on a fresh
+// observation bit for bit (memcmp, not a tolerance), and with it the empty
+// batch's Γ(u | ∅), for every node, policy and cost mode.
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_empty_gains_bit_identical(const Problem& p, const std::string& label) {
+  const NodeId n = p.graph.num_nodes();
+  std::vector<NodeId> nodes(n);
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  const Observation obs(p);
+  ASSERT_TRUE(obs.pristine());
+  BatchState state(n);
+  state.reset();
+  for (const MarginalPolicy policy :
+       {MarginalPolicy::kWeighted, MarginalPolicy::kPaperLiteral}) {
+    std::vector<double> gamma0(n, -1.0);
+    empty_marginal_gains(p, policy, nodes, gamma0);
+    const auto memo = compute_empty_scores(p, policy, /*cost_sensitive=*/!p.cost.empty());
+    ASSERT_EQ(memo->scores.size(), n);
+    std::size_t positive = 0;
+    for (NodeId u = 0; u < n; ++u) {
+      const double ref = marginal_gain(obs, u, policy);
+      ASSERT_TRUE(same_bits(gamma0[u], ref))
+          << label << " node " << u << ": " << gamma0[u] << " vs " << ref;
+      ASSERT_TRUE(same_bits(gamma0[u], state.gamma(obs, u, policy)))
+          << label << " node " << u << " vs BatchState::gamma";
+      const double scored = p.cost.empty() ? ref : ref / p.cost_of(u);
+      ASSERT_TRUE(same_bits(memo->scores[u], scored)) << label << " memo node " << u;
+      positive += ref > 0.0 ? 1 : 0;
+    }
+    EXPECT_GT(positive, 0u) << label;
+  }
+}
+
+Problem problem_over(graph::Graph g, std::uint64_t seed, bool paper_benefit,
+                     double boost) {
+  sim::ProblemOptions opts;
+  opts.num_targets = 25;
+  opts.base_acceptance = 0.35;
+  opts.mutual_boost = boost;
+  opts.paper_benefit = paper_benefit;
+  opts.seed = seed;
+  return sim::make_problem(std::move(g), opts);
+}
+
+graph::Graph ba_graph(std::uint64_t seed) {
+  return graph::assign_edge_probs(graph::barabasi_albert(300, 4, seed),
+                                  graph::EdgeProbModel::uniform(0.1, 0.9), seed + 1);
+}
+
+graph::Graph er_graph(std::uint64_t seed) {
+  return graph::assign_edge_probs(graph::erdos_renyi_gnm(250, 700, seed),
+                                  graph::EdgeProbModel::uniform(0.1, 0.9), seed + 1);
+}
+
+TEST(EmptyMarginalGains, BitIdenticalOnBarabasiAlbertAndErdosRenyi) {
+  for (const bool paper : {true, false}) {
+    for (const double boost : {0.0, 0.2}) {
+      const std::string tag = std::string(paper ? " paper" : " uniform") +
+                              " boost=" + std::to_string(boost);
+      expect_empty_gains_bit_identical(problem_over(ba_graph(3), 3, paper, boost),
+                                       "ba" + tag);
+      expect_empty_gains_bit_identical(problem_over(er_graph(4), 4, paper, boost),
+                                       "er" + tag);
+    }
+  }
+}
+
+TEST(EmptyMarginalGains, BitIdenticalOnRelabeledGraph) {
+  const graph::Graph g = ba_graph(5);
+  expect_empty_gains_bit_identical(
+      problem_over(graph::remap_graph(g, graph::degree_sort_permutation(g)), 5, true, 0.1),
+      "relabeled");
+}
+
+TEST(EmptyMarginalGains, SkipsZeroProbabilityEdges) {
+  graph::Graph g = ba_graph(6);
+  std::vector<double> probs(g.edge_probs().begin(), g.edge_probs().end());
+  for (std::size_t e = 0; e < probs.size(); e += 3) probs[e] = 0.0;
+  g.set_edge_probs(std::move(probs));
+  for (const bool paper : {true, false}) {
+    expect_empty_gains_bit_identical(problem_over(g, 6, paper, 0.0),
+                                     paper ? "p=0 paper" : "p=0 uniform");
+  }
+}
+
+TEST(EmptyMarginalGains, BitIdenticalWithCosts) {
+  Problem p = problem_over(ba_graph(7), 7, true, 0.15);
+  util::Rng rng(7);
+  p.cost.resize(p.graph.num_nodes());
+  for (double& c : p.cost) c = rng.uniform(0.5, 3.0);
+  p.validate();
+  expect_empty_gains_bit_identical(p, "costs");
+}
+
+TEST(EmptyMarginalGains, BitIdenticalUnderAttributeAcceptance) {
+  Problem p = problem_over(graph::assign_attributes(ba_graph(8), 3, 4, 0.5, 9), 8, true, 0.0);
+  p.acceptance = sim::make_attribute_acceptance(p.graph, 0.2, 0.5, 0.25, 10);
+  p.validate();
+  expect_empty_gains_bit_identical(p, "attributes");
+}
+
+TEST(EmptyMarginalGains, PristineSurvivesRejectsButNotAnAccept) {
+  const Problem p = problem_over(ba_graph(11), 11, true, 0.2);
+  const sim::World w(p, 12);
+  Observation obs(p);
+  EXPECT_TRUE(obs.pristine());
+  obs.record_reject(0);
+  obs.record_no_response(1);
+  EXPECT_TRUE(obs.pristine());
+  // The rejected and timed-out nodes still score as on a fresh observation.
+  std::vector<double> gamma0(p.graph.num_nodes());
+  const std::vector<NodeId> probe = {0, 1, 2};
+  empty_marginal_gains(p, MarginalPolicy::kWeighted, probe, gamma0);
+  for (const NodeId u : probe) {
+    EXPECT_TRUE(same_bits(gamma0[u], marginal_gain(obs, u, MarginalPolicy::kWeighted)));
+  }
+  obs.record_accept(2, w.true_neighbors(2));
+  EXPECT_FALSE(obs.pristine());
+
+  // restore() recomputes the flag: a rejects-only state is pristine, one
+  // with a friend is not.
+  const NodeId n = p.graph.num_nodes();
+  std::vector<sim::NodeState> states(n, sim::NodeState::kUnknown);
+  std::vector<std::uint32_t> attempts(n, 0);
+  states[0] = sim::NodeState::kRejected;
+  attempts[0] = 1;
+  Observation copy(p);
+  copy.restore(states, std::vector<sim::EdgeState>(p.graph.num_edges()), attempts, {});
+  EXPECT_TRUE(copy.pristine());
+  for (NodeId u = 0; u < n; ++u) {
+    states[u] = obs.node_state(u);
+    attempts[u] = obs.attempts(u);
+  }
+  copy.restore(states, obs.edge_states(), attempts, obs.friends());
+  EXPECT_FALSE(copy.pristine());
 }
 
 }  // namespace

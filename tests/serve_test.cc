@@ -1,6 +1,7 @@
 // Campaign service tests: concurrent campaigns byte-identical to sequential
 // runs at several pool sizes, pause/resume from autosnapshots, cancel,
-// deterministic ids, mid-campaign trace readability, and the line protocol.
+// deterministic ids, mid-campaign trace readability, the per-problem Γ₀
+// memo, and the line protocol.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -242,6 +243,92 @@ TEST(CampaignService, ReplacingALiveProblemThrows) {
   registry.cancel(id);
   registry.wait(id);
   EXPECT_NO_THROW(registry.register_problem("ba", ba_problem(4)));
+}
+
+// register_problem scores the Γ₀ frontier once and every pm campaign on the
+// problem seeds its first batch from that memo; none of that may show in a
+// trace.
+TEST(CampaignService, MemoSeededCampaignsMatchDirectRuns) {
+  const Problem ba = ba_problem(13);
+  TempDir dir;
+  CampaignRegistry registry({dir.path, 2});
+  registry.register_problem("ba", ba_problem(13));
+  for (const bool retries : {false, true}) {
+    for (const int k : {1, 4}) {
+      CampaignSpec spec;
+      spec.problem = "ba";
+      spec.batch_size = k;
+      spec.budget = 30.0;
+      spec.seed = 21;
+      spec.allow_retries = retries;
+      const CampaignStatus st = registry.wait(registry.submit(spec));
+      ASSERT_EQ(st.state, CampaignState::kCompleted) << st.error;
+      EXPECT_EQ(canonical_file(st.trace_path), canonical(reference_run(ba, spec)))
+          << "k=" << k << " retries=" << retries;
+    }
+  }
+}
+
+TEST(CampaignService, MemoSeededPauseResumeMatchesUninterruptedRun) {
+  // A low acceptance rate makes the first rounds rejects-only, so a pause
+  // there resumes onto a pristine observation, which takes the memo again.
+  sim::ProblemOptions opts;
+  opts.num_targets = 30;
+  opts.base_acceptance = 0.03;
+  opts.seed = 17;
+  const Problem p = sim::make_problem(
+      graph::assign_edge_probs(graph::barabasi_albert(300, 4, 17),
+                               graph::EdgeProbModel::uniform(0.3, 0.95), 18),
+      opts);
+  TempDir dir;
+  CampaignRegistry registry({dir.path, 2});
+  registry.register_problem("low", Problem(p));
+  CampaignSpec spec;
+  spec.problem = "low";
+  spec.batch_size = 2;
+  spec.budget = 80.0;
+  spec.seed = 5;
+  spec.allow_retries = true;
+  const sim::AttackTrace reference = reference_run(p, spec);
+  ASSERT_GT(reference.batches.size(), 3u);
+  for (std::size_t b = 0; b < 3; ++b) {
+    for (const std::uint8_t a : reference.batches[b].accepted) ASSERT_EQ(a, 0) << b;
+  }
+  const std::string id = registry.submit(spec);
+  for (int i = 0; i < 2000 && registry.status(id).rounds < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (registry.pause(id)) {
+    ASSERT_TRUE(registry.resume(id));
+  }
+  const CampaignStatus done = registry.wait(id);
+  ASSERT_EQ(done.state, CampaignState::kCompleted) << done.error;
+  EXPECT_EQ(canonical_file(done.trace_path), canonical(reference));
+}
+
+TEST(CampaignService, ReregisteringAProblemReplacesItsMemo) {
+  // Same name, same node count: the new problem reuses the resident slot,
+  // so only a replaced memo keeps the first batch right.
+  const Problem first = ba_problem(3);
+  const Problem second = ba_problem(4);
+  ASSERT_EQ(first.graph.num_nodes(), second.graph.num_nodes());
+  TempDir dir;
+  CampaignRegistry registry({dir.path, 2});
+  CampaignSpec spec;
+  spec.problem = "ba";
+  spec.batch_size = 5;
+  spec.budget = 20.0;
+  spec.seed = 8;
+  registry.register_problem("ba", Problem(first));
+  const CampaignStatus a = registry.wait(registry.submit(spec));
+  ASSERT_EQ(a.state, CampaignState::kCompleted) << a.error;
+  EXPECT_EQ(canonical_file(a.trace_path), canonical(reference_run(first, spec)));
+  registry.register_problem("ba", Problem(second));
+  const CampaignStatus b = registry.wait(registry.submit(spec));
+  ASSERT_EQ(b.state, CampaignState::kCompleted) << b.error;
+  const std::string expected = canonical(reference_run(second, spec));
+  EXPECT_NE(expected, canonical(reference_run(first, spec)));
+  EXPECT_EQ(canonical_file(b.trace_path), expected);
 }
 
 TEST(CampaignProtocol, PmSubmitRefusesAPlanner) {

@@ -95,7 +95,7 @@ DEFAULT_PATHS = ["src", "tools/recon_cli.cc", "tests"]
 
 # Reachability roots besides parallel-body lambdas: the scoring kernels.
 HOT_ROOT_CLASSES = ("GammaKernel",)
-HOT_ROOT_FUNCTIONS = ("marginal_gain",)
+HOT_ROOT_FUNCTIONS = ("marginal_gain", "empty_marginal_gains")
 
 # Support files whose *internals* the hotpath pass does not scan: the thread
 # pool's own chunk driver (its error-slot MutexLock sits on the exception
