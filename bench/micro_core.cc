@@ -3,6 +3,7 @@
 // ablation), lazy vs eager greedy, and full batch rounds.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <optional>
 
 #include "core/attack.h"
@@ -114,8 +115,9 @@ BENCHMARK(BM_BatchSelectEagerParallel)->Arg(1)->Arg(4)->Arg(8);
 /// One unit-cost attack (k = 10, budget 100) selecting every batch with the
 /// cross-batch cache, notified after each outcome, or with batch_select from
 /// scratch. Both pick identical batches; only the scoring work differs.
-std::size_t attack_with_selector(const sim::Problem& problem,
-                                 const sim::World& world, bool cached) {
+/// Returns the cache's base-score recomputations (0 when uncached).
+std::uint64_t attack_with_selector(const sim::Problem& problem,
+                                   const sim::World& world, bool cached) {
   sim::Observation obs(problem);
   std::optional<core::CachedSelector> cache;
   if (cached) cache.emplace(obs, core::MarginalPolicy::kWeighted);
@@ -123,7 +125,6 @@ std::size_t attack_with_selector(const sim::Problem& problem,
   bs.batch_size = 10;
   bs.max_attempts_per_node = 1;
   double budget = 100.0;
-  std::size_t sent = 0;
   for (;;) {
     bs.remaining_budget = budget;
     const auto batch = cached ? cache->select_batch(10, false, 1, budget)
@@ -139,22 +140,29 @@ std::size_t attack_with_selector(const sim::Problem& problem,
       }
     }
     budget -= static_cast<double>(batch.size());
-    sent += batch.size();
   }
-  return sent;
+  return cached ? cache->rescore_count() : 0;
 }
 
 void BM_FullAttackCachedVsUncached(benchmark::State& state) {
   // End-to-end selection cost over a whole attack: the cross-batch cache
-  // (state.range(1)) rescores only dirty 2-hop regions.
+  // (state.range(1)) rescores only the nodes an accept or reject can change
+  // (core/cached_selector.h); `rescores` counts them per attack.
   const auto problem = bench_problem(static_cast<graph::NodeId>(state.range(0)));
   const bool cached = state.range(1) != 0;
   std::uint64_t seed = 0;
+  std::uint64_t rescores = 0;
   for (auto _ : state) {
     const sim::World world(problem, seed++);
-    benchmark::DoNotOptimize(attack_with_selector(problem, world, cached));
+    const std::uint64_t r = attack_with_selector(problem, world, cached);
+    benchmark::DoNotOptimize(r);
+    rescores += r;
   }
   state.SetLabel(cached ? "cached" : "uncached");
+  if (cached) {
+    state.counters["rescores"] = benchmark::Counter(
+        static_cast<double>(rescores), benchmark::Counter::kAvgIterations);
+  }
 }
 BENCHMARK(BM_FullAttackCachedVsUncached)
     ->Args({2000, 0})
@@ -163,7 +171,7 @@ BENCHMARK(BM_FullAttackCachedVsUncached)
     ->Args({8000, 1});
 
 void BM_FullAttackCachedPool(benchmark::State& state) {
-  // Cache + pool composition: dirty 2-hop rescores fan out across workers
+  // Cache + pool composition: dirty rescores fan out across workers
   // while the pick loop stays sequential (and bit-identical).
   const auto problem = bench_problem(8000);
   util::ThreadPool pool(static_cast<unsigned>(state.range(0)));

@@ -121,6 +121,9 @@ CachedSelector::CachedSelector(const sim::Observation& obs, MarginalPolicy polic
   }
   cached_.assign(n, 0.0);
   dirty_.assign(n, 1);  // everything needs an initial score
+  // FoFs so far are covered by that initial score.
+  const auto fof = obs.fof_mask();
+  fof_seen_.assign(fof.begin(), fof.end());
   pos_.assign(n, kNotInHeap);
 }
 
@@ -139,12 +142,31 @@ void CachedSelector::mark_dirty(NodeId u) {
   }
 }
 
-void CachedSelector::mark_two_hop_dirty(NodeId u) {
+// Accepting x changes only x, x's incident edges, and the mutual counter
+// and FoF flag of x's true neighbors (Observation::record_accept). So x and
+// every graph neighbor v of x are dirty: the edge (x, v) is revealed, and
+// v's mutual count, FoF flag and q(v) may move. A node w two hops away sees
+// v's change only through its term p̂_wv · Bfof(v), which marginal_gain
+// drops once v is a FoF. When Bfof(v) is ±0 that term is ±0: adding -0.0
+// never changes a sum, and adding +0.0 changes only a -0.0 one, which
+// `inner` is not — it starts at Bf(w) or Bf(w) − Bfof(w) (validated
+// Bf ≥ Bfof ≥ 0) and only grows by products of non-negative factors — so
+// w's score keeps every bit. (-0.0 passes that validation; a -0.0 Bf(w)
+// could flip the sign of a zero score, which no `> 0.0` test tells apart.) v's
+// neighbors are therefore dirtied only when v carries FoF benefit, is a FoF
+// now, and has not been expanded before; FoF status is monotone (a FoF
+// only ever becomes a friend), so each flip is expanded once. A node that
+// turns FoF and is accepted before its flip is expanded here needs none:
+// its own notify_accept dirties its neighbors.
+void CachedSelector::mark_two_hop_dirty(NodeId x) {
   const auto& g = obs_->problem().graph;
-  mark_dirty(u);
-  for (NodeId v : g.neighbors(u)) {
+  const auto& bfof = obs_->problem().benefit.bfof;
+  mark_dirty(x);
+  for (const NodeId v : g.neighbors(x)) {
     mark_dirty(v);
-    for (NodeId w : g.neighbors(v)) mark_dirty(w);
+    if (fof_seen_[v] || bfof[v] == 0.0 || !obs_->is_fof(v)) continue;
+    fof_seen_[v] = 1;
+    for (const NodeId w : g.neighbors(v)) mark_dirty(w);
   }
 }
 

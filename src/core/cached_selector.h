@@ -2,12 +2,19 @@
 // whole attack) over a frontier that persists from batch to batch.
 //
 // batch_select() recomputes every candidate's base score at the start of
-// each batch — O(n · deg) per batch. But an observation only changes the
-// marginal gain of nodes within two hops of what was observed: accepting u
-// reveals u's edges (touching u's neighbors' FoF terms and their neighbors'
-// edge/FoF sums) and bumps mutual counters of u's neighbors. CachedSelector
-// keeps the base marginal Δf(u | ω) of every candidate across batches and
-// re-scores only the dirty 2-hop region, exactly like the paper's CΔ cache.
+// each batch — O(n · deg) per batch. But an observation changes the marginal
+// gain of few nodes. A reject changes only the rejected node's. Accepting x
+// reveals x's edges and bumps the mutual counters and FoF flags of x's true
+// neighbors, so x and every neighbor v of x are dirty. A node w two hops
+// away depends on v only through its term p̂_wv · Bfof(v), which vanishes
+// when v turns FoF; so v's neighbors are dirty only when v carries FoF
+// benefit (Bfof(v) ≠ 0), is a FoF now, and was not expanded before. With
+// Bfof(v) = 0 the term is a zero, and dropping it leaves w's score bit for
+// bit (mark_two_hop_dirty has the argument). CachedSelector keeps the base
+// marginal Δf(u | ω) of every candidate across batches and rescores only
+// the dirty nodes: the paper's CΔ cache (Alg. 2 lines 8–11), which dirties
+// the whole 2-hop neighbourhood of an accept, pruned to the nodes whose
+// score can change.
 //
 // The frontier. The base scores live in an addressable max-heap keyed by
 // (score, original node id) with a position index per node, so a batch
@@ -38,9 +45,10 @@
 //  * Memory: one heap slot and one position index per node, never more; the
 //    BatchState is a member reused through its O(1) reset().
 //  * Bulk rule: when the dirty nodes to re-key outnumber frontier size /
-//    log2(frontier size) — the first batches of a BA campaign, whose hubs
-//    dirty most of the graph — one make_heap over the frontier replaces the
-//    per-node sifts.
+//    log2(frontier size) — an accepted BA hub with many neighbors, or a
+//    benefit model where every node carries FoF benefit, so each new FoF's
+//    neighbors are dirtied too — one make_heap over the frontier replaces
+//    the per-node sifts.
 //
 // The first batch. A campaign's first refresh_full scores the whole
 // frontier on an empty observation (Observation::pristine(): no friend, no
@@ -77,6 +85,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -125,6 +134,13 @@ class CachedSelector {
   std::vector<graph::NodeId> select_batch(int batch_size, bool allow_retries,
                                           std::uint32_t max_attempts_per_node,
                                           double remaining_budget);
+
+  /// u's cached base score Δf(u | ω) (divided by c(u) when cost-sensitive),
+  /// or nullopt while u is dirty. Read-only; for exactness tests.
+  std::optional<double> base_score(graph::NodeId u) const {
+    if (dirty_[u]) return std::nullopt;
+    return cached_[u];
+  }
 
   /// Number of base-score recomputations performed so far (for tests and
   /// the cache-efficiency microbenchmark). A score seeded from the Γ₀ memo
@@ -191,6 +207,9 @@ class CachedSelector {
   std::vector<double> cached_;        ///< base Δf (cost-adjusted) per node
   std::vector<std::uint8_t> dirty_;   ///< cache invalid flags
   std::vector<graph::NodeId> dirty_list_;  ///< nodes marked since last batch
+  /// FoFs whose neighbors were dirtied for their flip (or that were FoFs
+  /// already at construction); see mark_two_hop_dirty.
+  std::vector<std::uint8_t> fof_seen_;
   std::atomic<std::uint64_t> rescores_{0};
 
   std::vector<Slot> heap_;

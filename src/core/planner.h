@@ -61,7 +61,8 @@ namespace recon::core {
 /// two can never change a trace); the SAA tiers trade solve time for the
 /// Thm. 3 / Lemma 2 quality ladder.
 enum class PlanStrategy : int {
-  kCollapsedCached = 0,   ///< CachedSelector: 2-hop dirty rescore + lazy greedy
+  kCollapsedCached = 0,   ///< CachedSelector: rescore of accepts, their neighbors and
+                          ///< the neighbors of new benefit-carrying FoFs + lazy greedy
   kCollapsedUncached = 1, ///< batch_select: fresh scoring every batch
   kBranchTree = 2,        ///< branch_tree_select: literal 2^k expectation tree
   kSaaGreedy = 3,         ///< fob_greedy over sampled scenarios

@@ -38,7 +38,6 @@ void PmArest::begin(const sim::Problem& problem, double budget) {
   rng_ = util::Rng(options_.seed);
   cache_.reset();
   cache_obs_ = nullptr;
-  last_attempts_.clear();
   if (options_.max_attempts_per_node != 0) {
     attempt_cap_ = options_.max_attempts_per_node;
   } else if (options_.allow_retries) {
@@ -85,36 +84,27 @@ int PmArest::draw_batch_size() {
 }
 
 void PmArest::sync_cache(const sim::Observation& obs) {
-  const bool fresh = cache_ == nullptr || cache_obs_ != &obs;
-  if (fresh) {
+  const auto touched = obs.touched_nodes();
+  if (cache_ == nullptr || cache_obs_ != &obs ||
+      journal_generation_ != obs.journal_generation() || journal_pos_ > touched.size()) {
+    // A new or restored observation gets a fresh cache. It starts all-dirty,
+    // so everything observed so far is picked up on its first scoring; only
+    // the journal cursor is recorded.
     cache_ = std::make_unique<CachedSelector>(obs, options_.policy,
                                               options_.cost_sensitive,
                                               options_.pool, empty_scores_);
     cache_obs_ = &obs;
-    last_attempts_.assign(obs.problem().graph.num_nodes(), 0);
-    // A fresh cache starts all-dirty, so pre-existing observation state is
-    // picked up on first scoring; only record current attempt counters.
-  }
-  const auto diff = [&](NodeId u) {
-    const std::uint32_t a = obs.attempts(u);
-    if (a == last_attempts_[u]) return;
-    last_attempts_[u] = a;
-    if (obs.is_friend(u)) {
-      cache_->notify_accept(u);
-    } else {
-      cache_->notify_reject(u);
-    }
-  };
-  const auto touched = obs.touched_nodes();
-  if (fresh || journal_generation_ != obs.journal_generation() ||
-      journal_pos_ > touched.size()) {
-    // New cache or a restored observation: one scan over every counter.
-    const NodeId n = obs.problem().graph.num_nodes();
-    for (NodeId u = 0; u < n; ++u) diff(u);
   } else {
     // Only nodes the observation journaled since the last sync can have
-    // moved; repeated entries diff to no-ops.
-    for (std::size_t i = journal_pos_; i < touched.size(); ++i) diff(touched[i]);
+    // moved; a repeated entry re-marks what is already dirty.
+    for (std::size_t i = journal_pos_; i < touched.size(); ++i) {
+      const NodeId u = touched[i];
+      if (obs.is_friend(u)) {
+        cache_->notify_accept(u);
+      } else {
+        cache_->notify_reject(u);
+      }
+    }
   }
   journal_pos_ = touched.size();
   journal_generation_ = obs.journal_generation();

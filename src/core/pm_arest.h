@@ -72,10 +72,10 @@ class PmArest : public Strategy {
 
  private:
   int draw_batch_size();
-  /// Diffs the observation against the last-seen attempt counters and feeds
-  /// accept/reject notifications into the cached selector. Only the nodes
-  /// the observation journaled since the previous sync are diffed; a fresh
-  /// cache or a restored observation takes one full scan.
+  /// Feeds accept/reject notifications for the nodes the observation
+  /// journaled since the previous sync into the cached selector. A new or
+  /// restored observation (another generation) gets a fresh, all-dirty
+  /// cache instead, with no per-node work.
   void sync_cache(const sim::Observation& obs);
 
   // lint:ckpt-coverage-ok(construction-time config; the harness rebuilds the
@@ -94,12 +94,9 @@ class PmArest : public Strategy {
   // lint:ckpt-coverage-ok(transient pointer identity of the last-seen
   // observation, only meaningful within one process lifetime)
   const sim::Observation* cache_obs_ = nullptr;
-  // lint:ckpt-coverage-ok(the cache's last-seen attempt counters; reset
-  // with the cache when sync_cache rebuilds it after a resume)
-  std::vector<std::uint32_t> last_attempts_;
   // lint:ckpt-coverage-ok(read cursor into the observation's touched-node
   // journal, only meaningful within one process lifetime; a rebuilt cache
-  // re-diffs every counter)
+  // starts all-dirty)
   std::size_t journal_pos_ = 0;
   // lint:ckpt-coverage-ok(journal generation paired with journal_pos_;
   // transient for the same reason)

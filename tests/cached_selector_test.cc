@@ -1,13 +1,15 @@
 // Tests for the cross-batch score cache: exact equivalence with the
 // uncached selector over full attacks (including a batch-by-batch
 // differential campaign with ties, retries, cooldowns, timeouts, costs,
-// varying k and a mid-campaign resume), cache-efficiency and frontier-work
-// accounting, and the strategy-level wiring (PM-AReST's attacks match a
+// varying k and a mid-campaign resume), bit-exact clean scores under the
+// pruned invalidation, cache-efficiency and frontier-work accounting, and
+// the strategy-level wiring (PM-AReST's attacks match a
 // test-local uncached oracle strategy).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -643,6 +645,208 @@ TEST(CachedSelector, FrontierWorkStaysWithinDirtyPlusPopped) {
   }
   EXPECT_EQ(frontier_work_per_batch(p, 2), work);
   EXPECT_EQ(frontier_work_per_batch(p, 4), work);
+}
+
+// ---------------------------------------------------------------------------
+// Exact invalidation: an accept dirties x, x's neighbors, and the neighbors
+// of only those that just turned FoF while carrying FoF benefit. Every node
+// left clean must still hold marginal_gain's exact bits.
+
+/// Asserts that every clean cached score of a non-friend equals
+/// marginal_gain (over the cost when cost-sensitive) bit for bit; returns
+/// how many scores were compared.
+std::size_t expect_clean_scores_exact(const CachedSelector& cached, const Observation& obs,
+                                      MarginalPolicy policy, bool cost_sensitive) {
+  std::size_t checked = 0;
+  for (NodeId u = 0; u < obs.problem().graph.num_nodes(); ++u) {
+    const auto score = cached.base_score(u);
+    if (obs.is_friend(u) || !score) continue;
+    double expected = marginal_gain(obs, u, policy);
+    if (cost_sensitive) expected /= obs.problem().cost_of(u);
+    EXPECT_EQ(std::memcmp(&*score, &expected, sizeof expected), 0)
+        << "node " << u << ": cached " << *score << ", marginal_gain " << expected;
+    ++checked;
+  }
+  return checked;
+}
+
+class CleanScoresExact
+    : public ::testing::TestWithParam<std::tuple<bool, MarginalPolicy, bool, double, bool>> {};
+
+TEST_P(CleanScoresExact, AfterEveryBatchAndAcrossAResume) {
+  const auto [ba, policy, paper, boost, costs] = GetParam();
+  const std::uint64_t seed = 17;
+  graph::Graph g = ba ? graph::barabasi_albert(300, 4, seed)
+                      : graph::erdos_renyi_gnm(300, 1200, seed);
+  g = graph::assign_edge_probs(g, graph::EdgeProbModel::uniform(0.25, 0.95), seed + 1);
+  sim::ProblemOptions opts;
+  opts.num_targets = 30;
+  opts.base_acceptance = 0.45;
+  opts.mutual_boost = boost;
+  opts.paper_benefit = paper;
+  opts.seed = seed;
+  Problem p = sim::make_problem(std::move(g), opts);
+  if (costs) {
+    util::Rng rng(seed * 5);
+    p.cost.resize(p.graph.num_nodes());
+    for (auto& c : p.cost) c = static_cast<double>(rng.range(1, 3));
+  }
+  const sim::World w(p, seed * 3);
+
+  // Lane 1 resumes from lane 0's observation after batch 4 with a new
+  // selector; both are driven and checked in lockstep from then on.
+  struct Lane {
+    std::unique_ptr<Observation> obs;
+    std::unique_ptr<CachedSelector> cached;
+  };
+  std::vector<Lane> lanes;
+  lanes.push_back({std::make_unique<Observation>(p), nullptr});
+  lanes[0].cached = std::make_unique<CachedSelector>(*lanes[0].obs, policy, costs);
+  const double budget = 120.0;
+  double spent = 0.0;
+  std::size_t checked = 0;
+  int accepts = 0;
+  for (int batch = 0; spent < budget; ++batch) {
+    if (batch == 4) {
+      auto obs = clone_via_restore(*lanes[0].obs);
+      auto cached = std::make_unique<CachedSelector>(*obs, policy, costs);
+      lanes.push_back({std::move(obs), std::move(cached)});
+    }
+    const auto picked = lanes[0].cached->select_batch(6, true, 3, budget - spent);
+    if (lanes.size() > 1) {
+      ASSERT_EQ(lanes[1].cached->select_batch(6, true, 3, budget - spent), picked)
+          << "batch " << batch;
+    }
+    if (picked.empty()) break;
+    for (const NodeId u : picked) {
+      spent += p.cost_of(u);
+      const Observation& obs = *lanes[0].obs;
+      const bool accepted = w.attempt_accept(u, obs.attempts(u), obs.acceptance_prob(u));
+      accepts += accepted ? 1 : 0;
+      for (auto& lane : lanes) {
+        if (accepted) {
+          lane.obs->record_accept(u, w.true_neighbors(u));
+          lane.cached->notify_accept(u);
+        } else {
+          lane.obs->record_reject(u);
+          lane.cached->notify_reject(u);
+        }
+      }
+    }
+    for (const auto& lane : lanes) {
+      checked += expect_clean_scores_exact(*lane.cached, *lane.obs, policy, costs);
+    }
+    ASSERT_FALSE(HasFailure()) << "batch " << batch;
+  }
+  ASSERT_EQ(lanes.size(), 2u);
+  EXPECT_GE(accepts, 8);
+  EXPECT_GE(checked, 1000u);  // even the paper's full two-hop walk leaves these clean
+}
+
+std::string clean_scores_case_name(
+    const ::testing::TestParamInfo<CleanScoresExact::ParamType>& case_info) {
+  const auto [ba, policy, paper, boost, costs] = case_info.param;
+  return std::string(ba ? "BA" : "ER") +
+         (policy == MarginalPolicy::kWeighted ? "_Weighted" : "_PaperLiteral") +
+         (paper ? "_PaperBenefit" : "_UniformBenefit") + (boost > 0.0 ? "_Boost" : "") +
+         (costs ? "_Costs" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, CleanScoresExact,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(MarginalPolicy::kWeighted,
+                                         MarginalPolicy::kPaperLiteral),
+                       ::testing::Bool(), ::testing::Values(0.0, 0.25), ::testing::Bool()),
+    clean_scores_case_name);
+
+/// Per-batch rescore counts of the FrontierWork campaign (k = 10, K = 150)
+/// with `threads` pool workers (0 = no pool), and the nodes each batch got
+/// accepted and rejected.
+struct RescoreLog {
+  std::vector<std::uint64_t> rescores;
+  std::vector<std::vector<NodeId>> accepted;
+  std::vector<std::vector<NodeId>> rejected;
+};
+
+RescoreLog rescores_per_batch(const Problem& p, unsigned threads) {
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+  const sim::World w(p, 4242);
+  Observation obs(p);
+  CachedSelector cached(obs, MarginalPolicy::kWeighted, /*cost_sensitive=*/false,
+                        pool.get());
+  RescoreLog log;
+  double budget = 150.0;
+  while (budget > 0) {
+    const std::uint64_t before = cached.rescore_count();
+    const auto batch = cached.select_batch(10, false, 1, budget);
+    log.rescores.push_back(cached.rescore_count() - before);
+    if (batch.empty()) break;
+    log.accepted.emplace_back();
+    log.rejected.emplace_back();
+    for (const NodeId u : batch) {
+      if (w.attempt_accept(u, obs.attempts(u), obs.acceptance_prob(u))) {
+        obs.record_accept(u, w.true_neighbors(u));
+        cached.notify_accept(u);
+        log.accepted.back().push_back(u);
+      } else {
+        obs.record_reject(u);
+        cached.notify_reject(u);
+        log.rejected.back().push_back(u);
+      }
+      budget -= 1.0;
+    }
+  }
+  return log;
+}
+
+TEST(CachedSelector, AcceptsRescoreOnlyBenefitCarryingFofRegions) {
+  // The FrontierWorkStaysWithinDirtyPlusPopped instance: paper benefit, so
+  // only the 300 targets of 50k nodes carry FoF benefit. The paper's cache
+  // dirties every node within two hops of an accept; batches 2..15 must
+  // rescore under a tenth of that, at every pool size alike.
+  const NodeId n = 50000;
+  sim::ProblemOptions opts;
+  opts.num_targets = 300;
+  opts.base_acceptance = 0.35;
+  opts.mutual_boost = 0.15;
+  opts.seed = 11;
+  const Problem p = sim::make_problem(
+      graph::assign_edge_probs(graph::barabasi_albert(n, 3, 11),
+                               graph::EdgeProbModel::uniform(0.25, 0.95), 12),
+      opts);
+  const RescoreLog log = rescores_per_batch(p, 0);
+  ASSERT_EQ(log.rescores.size(), 15u);
+
+  // What the unpruned walk marks before batch b: every node within two hops
+  // of an accept of batch b - 1, and each of its rejected nodes.
+  const auto& g = p.graph;
+  std::vector<std::size_t> marked_in(n, 0);
+  std::uint64_t unpruned = 0;
+  std::uint64_t pruned = 0;
+  for (std::size_t b = 1; b < log.rescores.size(); ++b) {
+    const auto mark = [&](NodeId u) {
+      if (marked_in[u] != b) {
+        marked_in[u] = b;
+        ++unpruned;
+      }
+    };
+    for (const NodeId x : log.rejected[b - 1]) mark(x);
+    for (const NodeId x : log.accepted[b - 1]) {
+      mark(x);
+      for (const NodeId v : g.neighbors(x)) {
+        mark(v);
+        for (const NodeId u : g.neighbors(v)) mark(u);
+      }
+    }
+    pruned += log.rescores[b];
+  }
+  EXPECT_LT(pruned * 10, unpruned) << "rescored " << pruned << " of " << unpruned;
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(rescores_per_batch(p, threads).rescores, log.rescores)
+        << threads << " workers";
+  }
 }
 
 }  // namespace
