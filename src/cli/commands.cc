@@ -13,7 +13,6 @@
 #include "core/checkpoint_chain.h"
 #include "core/supervisor.h"
 #include "core/m_arest.h"
-#include "core/planner.h"
 #include "core/pm_arest.h"
 #include "core/retry_policy.h"
 #include "graph/datasets.h"
@@ -120,8 +119,6 @@ core::StrategyFactory make_factory(const util::Args& args) {
   const bool retries = args.has("retries");
   const auto max_attempts =
       static_cast<std::uint32_t>(args.get_int("max-attempts", 0));
-  const core::PlannerOptions planner =
-      core::parse_planner_spec(args.get("planner", "off"), name);
   if (name == "pm") {
     return [k, retries, max_attempts](int) {
       core::PmArestOptions o;
@@ -150,14 +147,13 @@ core::StrategyFactory make_factory(const util::Args& args) {
   if (name == "mip" || name == "lshaped") {
     const auto samples = static_cast<std::size_t>(args.get_int("samples", 300));
     const bool benders = name == "lshaped";
-    return [k, retries, samples, benders, planner](int) {
+    return [k, retries, samples, benders](int) {
       solver::MipStrategyOptions o;
       o.batch_size = k;
       o.allow_retries = retries;
       o.scenarios_per_batch = samples;
       o.candidate_cap = 30;
       o.use_benders = benders;
-      o.planner = planner;
       return std::make_unique<solver::MipBatchStrategy>(o);
     };
   }
@@ -165,7 +161,7 @@ core::StrategyFactory make_factory(const util::Args& args) {
     const auto samples = static_cast<std::size_t>(args.get_int("samples", 300));
     const double fob_ms = args.get_double("fob-deadline-ms", 50.0);
     const double saa_ms = args.get_double("saa-deadline-ms", 50.0);
-    return [k, retries, samples, fob_ms, saa_ms, planner](int) {
+    return [k, retries, samples, fob_ms, saa_ms](int) {
       solver::FallbackOptions o;
       o.batch_size = k;
       o.allow_retries = retries;
@@ -173,7 +169,6 @@ core::StrategyFactory make_factory(const util::Args& args) {
       o.exact_deadline_seconds = fob_ms / 1000.0;
       o.saa_deadline_seconds = saa_ms / 1000.0;
       o.candidate_cap = 30;
-      o.planner = planner;
       return std::make_unique<solver::FallbackStrategy>(o);
     };
   }
@@ -602,6 +597,13 @@ int cmd_generate(const util::Args& args, std::ostream& out, std::ostream& err) {
 
 int cmd_attack(const util::Args& args, std::ostream& out, std::ostream& err) {
   try {
+    // util::Args accepts any flag, so a removed one would otherwise be
+    // ignored without a word.
+    if (args.has("planner")) {
+      throw std::invalid_argument(
+          "--planner was removed: every strategy runs its one dispatch path "
+          "(what --planner off ran); drop the flag");
+    }
     const sim::Problem problem = load_problem(args);
     const std::string save_path = args.get("save-problem", "");
     if (!save_path.empty()) {
@@ -952,12 +954,6 @@ void print_usage(std::ostream& out) {
          "             [--delay-model exp|fixed]]  (checkpoint/resume applies;\n"
          "             --stop-after/--checkpoint-every count resolved events)\n"
          "            fallback solver: [--fob-deadline-ms MS] [--saa-deadline-ms MS]\n"
-         "            runtime planner (strategy mip|fallback only; pm runs\n"
-         "            the cached selector and accepts only off; default off\n"
-         "            keeps the flag-driven dispatch bit-identical):\n"
-         "            [--planner off|auto|fixed:<uncached|saa|exact|greedy>]\n"
-         "             (auto picks per batch from calibrated cost models;\n"
-         "             state rides in checkpoints)\n"
          "  graph     `#recon-graph v1` binary substrate tooling\n"
          "            convert --in GRAPH --out BIN [--layout degree|keep]\n"
          "            info    --in FILE            (header-only probe on binary)\n"

@@ -1,14 +1,10 @@
 #include "core/batch_select.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <queue>
 
 #include "core/lazy_greedy.h"
-#include "util/numa.h"
-#include "util/timer.h"
 
 namespace recon::core {
 
@@ -18,21 +14,17 @@ using detail::lazy_pick_loop;
 using detail::ranks_before;
 
 std::vector<std::size_t> plan_score_shards(const std::vector<double>& work,
-                                           std::size_t parties,
-                                           double nanos_per_unit,
-                                           double target_shard_nanos) {
+                                           std::size_t parties) {
   std::vector<std::size_t> bounds{0};
   const std::size_t n = work.size();
   if (n == 0) return bounds;
   if (parties == 0) parties = 1;
   double total = 0.0;
   for (const double w : work) total += w;
-  // Aim each shard at ~target_shard_nanos of measured scoring time: long
-  // enough to amortize a task dispatch, short enough that one hub-heavy
-  // shard cannot straggle the whole pass. Clamp to between 4 shards per
-  // participant (steal balance) and 32 (dispatch overhead).
-  double target = target_shard_nanos / std::max(nanos_per_unit, 1e-3);
-  target = std::min(target, total / static_cast<double>(parties * 4));
+  // Clamp the per-shard target to between 4 shards per participant (steal
+  // balance) and 32 (dispatch overhead).
+  double target = std::min(kShardTargetWork,
+                           total / static_cast<double>(parties * 4));
   target = std::max(target, total / static_cast<double>(parties * 32));
   target = std::max(target, 1.0);
   double acc = 0.0;
@@ -238,42 +230,26 @@ std::vector<NodeId> batch_select(const sim::Observation& obs,
     // shard layout only changes *where* an entry sits, never the total order
     // in which entries are popped.
     //
-    // Shard boundaries are adaptive (plan_score_shards): equal estimated
-    // work per shard — degree-weighted, so hub-heavy ranges split finer
-    // than low-degree tails — sized against the measured ns-per-unit of
-    // previous passes (the caller's calibration instance, or the process-
-    // wide one). Each pass feeds its own measurement back.
-    ShardCalibration& calibration = options.calibration != nullptr
-                                        ? *options.calibration
-                                        : process_shard_calibration();
+    // Shard boundaries come from plan_score_shards: equal estimated work per
+    // shard — degree-weighted, so hub-heavy ranges split finer than
+    // low-degree tails.
     const std::size_t n = candidates.size();
     const std::size_t parties = static_cast<std::size_t>(options.pool->size()) + 1;
     const auto& g = problem.graph;
     std::vector<double> work(n);
-    double total_work = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       work[i] = 1.0 + static_cast<double>(g.degree(candidates[i]));
-      total_work += work[i];
     }
-    const std::vector<std::size_t> bounds =
-        plan_score_shards(work, parties, calibration.nanos_per_unit());
+    const std::vector<std::size_t> bounds = plan_score_shards(work, parties);
     const std::size_t num_shards = bounds.size() - 1;
     const std::size_t keep = static_cast<std::size_t>(options.batch_size);
 
     std::vector<ShardFrontier> shards(num_shards);
-    std::atomic<std::uint64_t> pass_nanos{0};
     const GammaKernel kernel(obs, state, options.policy);
     auto score_shard = [&](std::size_t s) {
-      // lint:hotpath-ok(sanctioned measurement site: one stopwatch per
-      // shard, two clock reads amortized over the whole shard's scoring;
-      // the reading calibrates future shard layouts and layout cannot
-      // change the selected batch)
-      const util::WallTimer shard_timer;
       const std::size_t lo = bounds[s];
       const std::size_t hi = bounds[s + 1];
       ShardFrontier& sf = shards[s];
-      // First touch happens here, inside the scoring task: on the pinned
-      // path the head/overflow pages land on the executing worker's node.
       sf.head.reserve(std::min(keep, hi - lo));
       // Min-heap on head (worst entry on top) caps the sorted portion at
       // k entries; the rest lands in overflow, sorted only if needed.
@@ -296,34 +272,8 @@ std::vector<NodeId> batch_select(const sim::Observation& obs,
         }
       }
       std::sort(sf.head.begin(), sf.head.end(), ranks_before);
-      pass_nanos.fetch_add(shard_timer.nanos(), std::memory_order_relaxed);
     };
-    const bool pin_shards =
-        options.numa_aware && util::numa_topology().num_nodes > 1;
-    if (pin_shards) {
-      // NUMA path: shard s always runs on worker floor(s * W / S). Shards
-      // are contiguous candidate ranges and numa_node_of_worker maps
-      // contiguous workers to one node, so each node scores a contiguous
-      // slice of the pool and re-touches the same pages pass after pass.
-      // Trades work-stealing balance for locality; selection is
-      // bit-identical either way (the frontier order is a total order).
-      const unsigned workers = options.pool->size();
-      std::vector<std::future<void>> done;
-      done.reserve(num_shards);
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        const auto worker = static_cast<unsigned>(s * workers / num_shards);
-        done.push_back(
-            options.pool->submit_pinned(worker, [&score_shard, s] { score_shard(s); }));
-      }
-      for (auto& f : done) f.get();
-    } else {
-      options.pool->parallel_for(0, num_shards, score_shard, /*grain=*/1);
-    }
-    // Shard times overlap in wall-clock, but the EWMA wants *cost*, not
-    // latency: the summed per-shard nanos over the summed work is exactly
-    // the average ns each work unit cost this pass.
-    calibration.record_pass(pass_nanos.load(std::memory_order_relaxed),
-                            total_work);
+    options.pool->parallel_for(0, num_shards, score_shard, /*grain=*/1);
 
     MergedFrontier frontier(std::move(shards));
     return lazy_pick_loop(obs, options.batch_size, state, budget, frontier, score_of);

@@ -25,7 +25,6 @@
 
 #include "core/batch_state.h"
 #include "core/marginal.h"
-#include "core/planner.h"
 #include "sim/observation.h"
 #include "util/thread_pool.h"
 
@@ -49,19 +48,6 @@ struct BatchSelectOptions {
   util::ThreadPool* pool = nullptr;
   /// Rescore every candidate each round via the pool instead of lazy greedy.
   bool parallel_eager = false;
-  /// Pin shard-scoring tasks to fixed workers (ThreadPool::submit_pinned) so
-  /// each shard's frontier memory first-touches the scoring worker's NUMA
-  /// node. Takes effect only when util::numa_topology() reports more than
-  /// one node (RECON_NUMA builds or an RECON_NUMA_NODES override); the
-  /// selected batch is bit-identical either way, so this is purely a memory
-  /// placement decision.
-  bool numa_aware = true;
-  /// Shard-sizing calibration (measured ns per work unit) read when planning
-  /// the scoring shards and fed by each pass's measurement. nullptr uses the
-  /// process-wide `process_shard_calibration()`; planner-hosted campaigns
-  /// pass their own checkpointed instance. Purely a layout decision — the
-  /// selected batch is identical under every calibration value.
-  ShardCalibration* calibration = nullptr;
 };
 
 /// Selects up to options.batch_size nodes to request, greedily maximizing
@@ -78,22 +64,24 @@ std::vector<graph::NodeId> batch_candidates(const sim::Observation& obs,
                                             std::uint32_t max_attempts_per_node,
                                             double max_cost);
 
+/// Work units one score shard aims at (one unit ~ one adjacency-row entry
+/// walked by the gamma kernel): ~100 µs at 64 ns/unit, long enough to
+/// amortize a task dispatch, short enough that one hub-heavy shard cannot
+/// straggle the whole pass.
+inline constexpr double kShardTargetWork = 1562.5;
+
 /// Shard boundaries for the parallel scoring pass: shard s covers
 /// candidates [bounds[s], bounds[s+1]), bounds.front() == 0 and
 /// bounds.back() == work.size(). Shards hold roughly equal *estimated
 /// work* (work[i] models candidate i's scoring cost — the gamma kernel
 /// walks the adjacency row, so batch_select uses 1 + degree), not equal
 /// candidate counts: a hub-heavy prefix of a BA candidate list is split
-/// into many small shards while the low-degree tail coarsens. The target
-/// work per shard aims each shard at ~`target_shard_nanos` of measured
-/// scoring time (`nanos_per_unit` comes from a process-wide calibration of
-/// previous passes), clamped to between 4 and 32 shards per participant.
-/// The plan only decides *where* candidates sit, never the (score, node)
-/// frontier order, so selected batches are identical under every plan.
-/// Exposed for tests and the shard-size benchmarks.
+/// into many small shards while the low-degree tail coarsens. Each shard
+/// aims at `kShardTargetWork` work units, clamped to between 4 and 32
+/// shards per participant. The plan only decides *where* candidates sit,
+/// never the (score, node) frontier order, so selected batches are
+/// identical under every plan. Exposed for tests.
 std::vector<std::size_t> plan_score_shards(const std::vector<double>& work,
-                                           std::size_t parties,
-                                           double nanos_per_unit,
-                                           double target_shard_nanos = 100000.0);
+                                           std::size_t parties);
 
 }  // namespace recon::core

@@ -85,8 +85,6 @@ CampaignSpec parse_submit(std::istringstream& ls) {
       spec.allow_retries = parse_u64(val, key) != 0;
     } else if (key == "scenarios") {
       spec.scenarios = static_cast<std::size_t>(parse_u64(val, key));
-    } else if (key == "planner") {
-      spec.planner = val;
     } else if (key == "ckpt-every") {
       spec.checkpoint_every_rounds = parse_u64(val, key);
     } else {

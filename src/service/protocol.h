@@ -5,8 +5,7 @@
 //
 //   SUBMIT problem=<name> [strategy=pm|mip|fallback] [k=<int>]
 //          [budget=<double>] [seed=<u64>] [retries=0|1]
-//          [scenarios=<n>] [planner=off|auto|fixed:<s>] [ckpt-every=<n>]
-//          (a planner other than off needs strategy mip or fallback)
+//          [scenarios=<n>] [ckpt-every=<n>]
 //                                  -> OK <campaign-id>
 //   STATUS <id>                    -> OK <id> state=... rounds=... spent=...
 //                                       benefit=... trace=... [error="..."]

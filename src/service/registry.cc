@@ -10,7 +10,6 @@
 #include "core/attack.h"
 #include "core/cached_selector.h"
 #include "core/checkpoint_chain.h"
-#include "core/planner.h"
 #include "core/pm_arest.h"
 #include "sim/trace_io.h"
 #include "sim/world.h"
@@ -37,8 +36,6 @@ std::unique_ptr<core::Strategy> make_strategy(
   if (spec.budget <= 0.0) {
     throw std::invalid_argument("campaign budget must be positive");
   }
-  const core::PlannerOptions planner =
-      core::parse_planner_spec(spec.planner, spec.strategy);
   if (spec.strategy == "pm") {
     core::PmArestOptions o;
     o.batch_size = spec.batch_size;
@@ -52,7 +49,6 @@ std::unique_ptr<core::Strategy> make_strategy(
     o.allow_retries = spec.allow_retries;
     o.scenarios_per_batch = spec.scenarios;
     o.candidate_cap = 30;
-    o.planner = planner;
     o.pool = pool;
     return std::make_unique<solver::MipBatchStrategy>(o);
   }
@@ -62,7 +58,6 @@ std::unique_ptr<core::Strategy> make_strategy(
     o.allow_retries = spec.allow_retries;
     o.scenarios_per_batch = spec.scenarios;
     o.candidate_cap = 30;
-    o.planner = planner;
     o.pool = pool;
     return std::make_unique<solver::FallbackStrategy>(o);
   }
@@ -80,7 +75,7 @@ std::string CampaignSpec::canonical() const {
   os << "problem=" << problem << " strategy=" << strategy
      << " k=" << batch_size << " budget=" << budget << " seed=" << seed
      << " retries=" << (allow_retries ? 1 : 0) << " scenarios=" << scenarios
-     << " planner=" << planner << " ckpt-every=" << checkpoint_every_rounds;
+     << " ckpt-every=" << checkpoint_every_rounds;
   return os.str();
 }
 

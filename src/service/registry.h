@@ -1,9 +1,9 @@
 // Campaign registry — the heart of the `recon serve` daemon.
 //
 // A registry keeps the expensive process state resident — loaded problems
-// (whose graphs may be mmap-backed), one shared util::ThreadPool, and the
-// planner-calibrated strategies — and runs many concurrent campaigns
-// against that shared immutable state. Each campaign is one supervised
+// (whose graphs may be mmap-backed) with their scored empty-observation
+// frontiers, and one shared util::ThreadPool — and runs many concurrent
+// campaigns against that shared immutable state. Each campaign is one supervised
 // attack (core::run_attack) on its own driver thread:
 //
 //   * batches stream to `<state_dir>/<id>.trace` one line per completed
@@ -51,14 +51,15 @@ namespace recon::service {
 /// campaign byte-for-byte — the contract the serve tests pin against
 /// sequential `recon attack` runs.
 struct CampaignSpec {
-  std::string problem;          ///< registered problem name
+  // `strategy` leads: with `problem` as the first member, GCC 12 at -O3
+  // reports a false -Wmaybe-uninitialized on `spec.problem = "ba"`.
   std::string strategy = "pm";  ///< pm | mip | fallback
+  std::string problem;          ///< registered problem name
   int batch_size = 10;
   double budget = 50.0;
   std::uint64_t seed = 1;       ///< world seed base (derive_seed(seed, 0))
   bool allow_retries = false;
   std::size_t scenarios = 300;  ///< SAA scenarios (mip/fallback)
-  std::string planner = "off";  ///< off | auto | fixed:<s> (mip, fallback)
   std::uint64_t checkpoint_every_rounds = 1;  ///< autosnapshot cadence
 
   /// Canonical one-line rendering — the id hash input and the protocol echo.
@@ -115,7 +116,7 @@ class CampaignRegistry {
   std::vector<std::string> problem_names() const;
 
   /// Starts a campaign; returns its deterministic id. Throws
-  /// std::invalid_argument on an unknown problem/strategy/planner spec.
+  /// std::invalid_argument on an unknown problem/strategy or a bad spec.
   std::string submit(const CampaignSpec& spec);
 
   /// Throws std::invalid_argument for unknown ids.

@@ -6,31 +6,12 @@
 
 #include "util/log.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace recon::solver {
 
-using core::ExecutionPlanner;
-using core::PlanDecision;
-using core::PlanFeatures;
-using core::PlannerMode;
-using core::PlanStrategy;
 using graph::NodeId;
 
-namespace {
-
-/// The tiers this host can execute: the uncached greedy floor plus both SAA
-/// solver tiers (no persistent cache, no branch tree).
-core::PlannerOptions host_planner_options(core::PlannerOptions po) {
-  po.admissible[static_cast<int>(PlanStrategy::kCollapsedCached)] = false;
-  po.admissible[static_cast<int>(PlanStrategy::kBranchTree)] = false;
-  return po;
-}
-
-}  // namespace
-
-FallbackStrategy::FallbackStrategy(FallbackOptions options)
-    : options_(options), planner_(host_planner_options(options.planner)) {
+FallbackStrategy::FallbackStrategy(FallbackOptions options) : options_(options) {
   if (options_.batch_size <= 0) {
     throw std::invalid_argument("FallbackStrategy: batch_size must be positive");
   }
@@ -39,12 +20,6 @@ FallbackStrategy::FallbackStrategy(FallbackOptions options)
   }
   if (options_.exact_deadline_seconds < 0.0 || options_.saa_deadline_seconds < 0.0) {
     throw std::invalid_argument("FallbackStrategy: deadlines must be non-negative");
-  }
-  if (planner_.options().mode == PlannerMode::kFixed &&
-      !planner_.options()
-           .admissible[static_cast<int>(planner_.options().fixed_strategy)]) {
-    throw std::invalid_argument(
-        "FallbackStrategy: fixed planner strategy must be exact, saa, or greedy");
   }
 }
 
@@ -57,14 +32,12 @@ void FallbackStrategy::begin(const sim::Problem& problem, double budget) {
   (void)budget;
   round_ = 0;
   counts_ = {};
-  planner_.reset();
 }
 
 std::string FallbackStrategy::save_state() const {
   std::ostringstream ss;
   ss << "fallback " << round_ << ' ' << counts_.exact << ' ' << counts_.saa_greedy
      << ' ' << counts_.lazy_greedy;
-  if (planner_.enabled()) ss << ' ' << planner_.save_state();
   return ss.str();
 }
 
@@ -77,16 +50,11 @@ void FallbackStrategy::restore_state(const std::string& blob) {
       tag != "fallback" || round < 0) {
     throw std::invalid_argument("FallbackStrategy::restore_state: bad state blob");
   }
-  if (planner_.enabled()) {
-    std::string rest;
-    std::getline(ss, rest);
-    const std::size_t start = rest.find_first_not_of(' ');
-    if (start == std::string::npos) {
-      throw std::invalid_argument(
-          "FallbackStrategy::restore_state: planner enabled but state blob "
-          "carries no planner line");
-    }
-    planner_.restore_state(rest.substr(start));
+  if (std::string extra; ss >> extra) {
+    throw std::invalid_argument(
+        "FallbackStrategy::restore_state: unexpected '" + extra +
+        "' section; the runtime planner was removed, so checkpoints written "
+        "by a --planner run cannot be resumed");
   }
   round_ = round;
   counts_ = c;
@@ -104,113 +72,11 @@ std::vector<NodeId> FallbackStrategy::floor_batch(const sim::Observation& obs,
   bs.max_attempts_per_node = 0;  // match fob_candidates (no cap)
   bs.remaining_budget = remaining_budget;
   bs.pool = options_.pool;
-  if (planner_.enabled()) bs.calibration = &planner_.shard_calibration();
   std::vector<NodeId> batch = core::batch_select(obs, bs);
   if (!batch.empty()) {
     ++counts_.lazy_greedy;
     RECON_LOG(kInfo) << "fallback: batch " << round_ << " tier=lazy-greedy";
   }
-  return batch;
-}
-
-std::vector<NodeId> FallbackStrategy::planned_batch(const sim::Observation& obs,
-                                                    double remaining_budget,
-                                                    std::size_t k) {
-  const auto& g = obs.problem().graph;
-  const std::vector<NodeId> candidates =
-      fob_candidates(obs, options_.allow_retries);
-
-  PlanFeatures f;
-  f.batch_size = static_cast<int>(std::min(k, candidates.size()));
-  f.frontier_size = candidates.size();
-  for (const NodeId u : candidates) {
-    const auto deg = static_cast<double>(g.degree(u));
-    f.mean_degree += deg;
-    f.max_degree = std::max(f.max_degree, deg);
-  }
-  if (!candidates.empty()) {
-    f.mean_degree /= static_cast<double>(candidates.size());
-    f.scenario_count = options_.scenarios_per_batch;
-  }
-  f.deadline_seconds =
-      options_.exact_deadline_seconds + options_.saa_deadline_seconds;
-  f.remaining_budget = remaining_budget;
-
-  const PlanDecision decision = planner_.plan(f);
-  RECON_LOG(kInfo) << "fallback: batch " << round_ << " plan="
-                   << core::plan_strategy_name(decision.strategy)
-                   << " predicted_work=" << decision.predicted_work;
-
-  const double row = 1.0 + f.mean_degree;
-  const double scenario_weight = static_cast<double>(f.scenario_count);
-  const auto observe_tier = [&](PlanStrategy s, double actual_work,
-                                std::uint64_t nanos, bool overran) {
-    PlanDecision d = decision;
-    if (s != decision.strategy) {
-      // Safety-net degradation ran a tier the planner did not pick: observe
-      // it against its own cost model so the misprediction still teaches.
-      d.strategy = s;
-      d.estimated_work = planner_.estimate_work(s, f);
-    }
-    planner_.observe(d, actual_work, nanos, overran);
-  };
-
-  PlanStrategy tier = decision.strategy;
-  std::vector<Scenario> scenarios;
-  if (tier != PlanStrategy::kCollapsedUncached && !candidates.empty()) {
-    scenarios = sample_scenarios_antithetic(
-        obs, options_.scenarios_per_batch,
-        util::derive_seed(options_.seed, static_cast<std::uint64_t>(round_)));
-  }
-  const std::size_t batch_k = std::min(k, candidates.size());
-
-  if (tier == PlanStrategy::kSaaExact && !candidates.empty()) {
-    FobExactOptions exact;
-    exact.max_nodes = options_.max_bnb_nodes;
-    exact.candidate_cap = options_.candidate_cap;
-    exact.deadline_seconds = options_.exact_deadline_seconds;
-    exact.pool = options_.pool;
-    exact.antithetic = true;
-    const util::WallTimer timer;
-    const FobResult r = fob_exact(obs, scenarios, batch_k, candidates, exact);
-    const double work =
-        static_cast<double>(r.saa_evals) * scenario_weight * row;
-    const bool ok = r.exact && !r.batch.empty();
-    observe_tier(PlanStrategy::kSaaExact, work, timer.nanos(), !ok);
-    if (ok) {
-      ++counts_.exact;
-      RECON_LOG(kInfo) << "fallback: batch " << round_ << " tier=exact ("
-                       << r.nodes_explored << " bnb nodes)";
-      return r.batch;
-    }
-    RECON_LOG(kInfo) << "fallback: batch " << round_
-                     << " planned exact tier missed its deadline; degrading";
-    tier = PlanStrategy::kSaaGreedy;
-  }
-  if (tier == PlanStrategy::kSaaGreedy && !candidates.empty()) {
-    const util::WallTimer timer;
-    const FobResult r =
-        fob_greedy(obs, scenarios, batch_k, candidates,
-                   options_.saa_deadline_seconds, options_.pool,
-                   /*antithetic=*/true);
-    const double work =
-        static_cast<double>(r.saa_evals) * scenario_weight * row;
-    const bool ok = !r.timed_out && !r.batch.empty();
-    observe_tier(PlanStrategy::kSaaGreedy, work, timer.nanos(), !ok);
-    if (ok) {
-      ++counts_.saa_greedy;
-      RECON_LOG(kInfo) << "fallback: batch " << round_ << " tier=saa-greedy";
-      return r.batch;
-    }
-    RECON_LOG(kInfo) << "fallback: batch " << round_
-                     << " planned saa tier missed its deadline; degrading";
-  }
-
-  const util::WallTimer timer;
-  std::vector<NodeId> batch = floor_batch(obs, remaining_budget, k);
-  observe_tier(PlanStrategy::kCollapsedUncached,
-               static_cast<double>(f.frontier_size) * row, timer.nanos(),
-               /*overran=*/false);
   return batch;
 }
 
@@ -220,8 +86,6 @@ std::vector<NodeId> FallbackStrategy::next_batch(const sim::Observation& obs,
   const auto k = static_cast<std::size_t>(
       std::min<double>(options_.batch_size, remaining_budget));
   if (k == 0) return {};
-
-  if (planner_.enabled()) return planned_batch(obs, remaining_budget, k);
 
   const bool saa_tiers =
       options_.exact_deadline_seconds > 0.0 || options_.saa_deadline_seconds > 0.0;

@@ -24,7 +24,6 @@
 #include <string>
 
 #include "core/batch_select.h"
-#include "core/planner.h"
 #include "core/strategy.h"
 #include "solver/fob.h"
 
@@ -48,15 +47,6 @@ struct FallbackOptions {
   /// sequential everywhere). Batches are bit-identical with and without a
   /// pool; only which tier wins a wall-clock deadline can differ.
   util::ThreadPool* pool = nullptr;
-  /// Runtime planner (core/planner.h). Off (default): the classic
-  /// try-run-degrade ladder, bit-identical to pre-planner builds. Auto:
-  /// the planner *predicts* which tier fits the per-batch deadline from its
-  /// calibrated cost models and dispatches it directly — a mispredicted
-  /// tier still degrades through the ladder as a safety net, and the
-  /// overrun demotes the planner's tier position. Fixed: pinned to one tier
-  /// (exact | saa | greedy) for parity runs. Admissible strategies here:
-  /// uncached floor + both SAA tiers.
-  core::PlannerOptions planner = {};
 };
 
 /// How many batches each tier ended up solving.
@@ -79,12 +69,8 @@ class FallbackStrategy : public core::Strategy {
 
   const FallbackTierCounts& tier_counts() const noexcept { return counts_; }
   const FallbackOptions& options() const noexcept { return options_; }
-  const core::ExecutionPlanner& planner() const noexcept { return planner_; }
 
  private:
-  std::vector<graph::NodeId> planned_batch(const sim::Observation& obs,
-                                           double remaining_budget,
-                                           std::size_t k);
   std::vector<graph::NodeId> floor_batch(const sim::Observation& obs,
                                          double remaining_budget, std::size_t k);
 
@@ -93,9 +79,6 @@ class FallbackStrategy : public core::Strategy {
   FallbackOptions options_;
   int round_ = 0;
   FallbackTierCounts counts_;
-  // lint:ckpt-coverage-ok(planner serializes itself; its blob is appended to
-  // this strategy's state line when the planner is enabled)
-  core::ExecutionPlanner planner_;
 };
 
 }  // namespace recon::solver

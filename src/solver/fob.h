@@ -25,7 +25,7 @@ struct FobResult {
   std::uint64_t nodes_explored = 0; ///< B&B nodes (0 for greedy)
   /// SAA objective evaluations performed (singleton scoring, lazy-greedy
   /// rescores, B&B oracle calls). Deterministic at every thread count for a
-  /// deadline-free solve — the planner's observed-work signal.
+  /// deadline-free solve; the benchmark harness reports it as solver work.
   std::uint64_t saa_evals = 0;
   bool exact = false;               ///< true when B&B completed
   bool timed_out = false;           ///< a wall-clock deadline cut the solve short

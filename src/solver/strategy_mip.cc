@@ -6,43 +6,17 @@
 
 #include "solver/benders.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace recon::solver {
 
-using core::PlanDecision;
-using core::PlanFeatures;
-using core::PlannerMode;
-using core::PlanStrategy;
 using graph::NodeId;
 
-namespace {
-
-/// This host only runs the SAA tiers: no greedy floor, no branch tree.
-core::PlannerOptions host_planner_options(const MipStrategyOptions& o) {
-  core::PlannerOptions po = o.planner;
-  if (o.use_benders) po.mode = PlannerMode::kOff;  // Benders is unplanned
-  po.admissible[static_cast<int>(PlanStrategy::kCollapsedCached)] = false;
-  po.admissible[static_cast<int>(PlanStrategy::kCollapsedUncached)] = false;
-  po.admissible[static_cast<int>(PlanStrategy::kBranchTree)] = false;
-  return po;
-}
-
-}  // namespace
-
-MipBatchStrategy::MipBatchStrategy(MipStrategyOptions options)
-    : options_(options), planner_(host_planner_options(options)) {
+MipBatchStrategy::MipBatchStrategy(MipStrategyOptions options) : options_(options) {
   if (options_.batch_size <= 0) {
     throw std::invalid_argument("MipBatchStrategy: batch_size must be positive");
   }
   if (options_.scenarios_per_batch == 0) {
     throw std::invalid_argument("MipBatchStrategy: need at least one scenario");
-  }
-  if (planner_.options().mode == PlannerMode::kFixed &&
-      !planner_.options()
-           .admissible[static_cast<int>(planner_.options().fixed_strategy)]) {
-    throw std::invalid_argument(
-        "MipBatchStrategy: fixed planner strategy must be exact or saa");
   }
 }
 
@@ -56,13 +30,11 @@ void MipBatchStrategy::begin(const sim::Problem& problem, double budget) {
   (void)budget;
   round_ = 0;
   all_exact_ = true;
-  planner_.reset();
 }
 
 std::string MipBatchStrategy::save_state() const {
   std::ostringstream ss;
   ss << "mip " << round_ << ' ' << (all_exact_ ? 1 : 0);
-  if (planner_.enabled()) ss << ' ' << planner_.save_state();
   return ss.str();
 }
 
@@ -73,16 +45,11 @@ void MipBatchStrategy::restore_state(const std::string& blob) {
   if (!(ss >> tag >> round >> exact) || tag != "mip" || round < 0) {
     throw std::invalid_argument("MipBatchStrategy::restore_state: bad state blob");
   }
-  if (planner_.enabled()) {
-    std::string rest;
-    std::getline(ss, rest);
-    const std::size_t start = rest.find_first_not_of(' ');
-    if (start == std::string::npos) {
-      throw std::invalid_argument(
-          "MipBatchStrategy::restore_state: planner enabled but state blob "
-          "carries no planner line");
-    }
-    planner_.restore_state(rest.substr(start));
+  if (std::string extra; ss >> extra) {
+    throw std::invalid_argument(
+        "MipBatchStrategy::restore_state: unexpected '" + extra +
+        "' section; the runtime planner was removed, so checkpoints written "
+        "by a --planner run cannot be resumed");
   }
   round_ = round;
   all_exact_ = exact != 0;
@@ -105,30 +72,8 @@ std::vector<NodeId> MipBatchStrategy::next_batch(const sim::Observation& obs,
       obs, options_.scenarios_per_batch,
       util::derive_seed(options_.seed, static_cast<std::uint64_t>(round_)));
 
-  // The planner, when enabled, gates exact-vs-greedy per batch; the legacy
-  // greedy_only flag keeps pinning the tier when the planner is off.
-  bool run_greedy = options_.greedy_only;
-  PlanDecision decision;
-  PlanFeatures features;
-  if (planner_.enabled() && !options_.use_benders) {
-    const auto& g = obs.problem().graph;
-    features.batch_size = static_cast<int>(batch_k);
-    features.frontier_size = candidates.size();
-    for (const NodeId u : candidates) {
-      const auto deg = static_cast<double>(g.degree(u));
-      features.mean_degree += deg;
-      features.max_degree = std::max(features.max_degree, deg);
-    }
-    features.mean_degree /= static_cast<double>(candidates.size());
-    features.scenario_count = options_.scenarios_per_batch;
-    features.remaining_budget = remaining_budget;
-    decision = planner_.plan(features);
-    run_greedy = decision.strategy == PlanStrategy::kSaaGreedy;
-  }
-
-  const util::WallTimer timer;
   FobResult fob;
-  if (planner_.enabled() ? run_greedy : options_.greedy_only) {
+  if (options_.greedy_only) {
     fob = fob_greedy(obs, scenarios, batch_k, candidates,
                      /*deadline_seconds=*/0.0, options_.pool,
                      /*antithetic=*/true);
@@ -157,12 +102,6 @@ std::vector<NodeId> MipBatchStrategy::next_batch(const sim::Observation& obs,
     exact.antithetic = true;
     fob = fob_exact(obs, scenarios, batch_k, candidates, exact);
     all_exact_ = all_exact_ && fob.exact;
-  }
-  if (planner_.enabled() && !options_.use_benders) {
-    const double work = static_cast<double>(fob.saa_evals) *
-                        static_cast<double>(scenarios.size()) *
-                        (1.0 + features.mean_degree);
-    planner_.observe(decision, work, timer.nanos(), /*overran_deadline=*/false);
   }
   return fob.batch;
 }

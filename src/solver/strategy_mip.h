@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/planner.h"
 #include "core/strategy.h"
 #include "solver/fob.h"
 
@@ -31,12 +30,6 @@ struct MipStrategyOptions {
   /// Parallelize the per-batch SAA solves across scenarios (nullptr =
   /// sequential). Selected batches are bit-identical at any thread count.
   util::ThreadPool* pool = nullptr;
-  /// Runtime planner (core/planner.h): gates exact B&B vs SAA greedy per
-  /// batch from the calibrated cost models (admissible strategies: the two
-  /// SAA tiers). Ignored when `use_benders` is set; with no per-batch
-  /// deadline configured, auto mode always takes the exact tier (quality
-  /// first), matching the legacy flag-driven behavior.
-  core::PlannerOptions planner = {};
 };
 
 class MipBatchStrategy : public core::Strategy {
@@ -55,17 +48,12 @@ class MipBatchStrategy : public core::Strategy {
   /// Whether every batch so far was solved to proven optimality.
   bool all_exact() const noexcept { return all_exact_; }
 
-  const core::ExecutionPlanner& planner() const noexcept { return planner_; }
-
  private:
   // lint:ckpt-coverage-ok(construction-time config; the harness rebuilds the
   // strategy with identical options before calling restore_state)
   MipStrategyOptions options_;
   int round_ = 0;
   bool all_exact_ = true;
-  // lint:ckpt-coverage-ok(planner serializes itself; its blob is appended to
-  // this strategy's state line when the planner is enabled)
-  core::ExecutionPlanner planner_;
 };
 
 }  // namespace recon::solver

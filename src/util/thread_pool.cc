@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/numa.h"
-
 namespace recon::util {
 
 namespace {
@@ -46,37 +44,6 @@ ThreadPool::~ThreadPool() {
   while (inject_ring_.try_pop(injected)) delete injected;
 }
 
-void ThreadPool::push_pinned_task(unsigned worker, TaskFunction task) {
-  Worker& w = queues_[worker];
-  {
-    MutexLock lock(w.pin_mutex);
-    w.pinned.push_back(std::move(task));
-  }
-  w.pinned_count.fetch_add(1, std::memory_order_release);
-  // Pinned work is not in pending_, so only the owner's sleep predicate sees
-  // it; notify_all because notify_one may wake a different worker.
-  {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-  }
-  sleep_cv_.notify_all();
-}
-
-unsigned ThreadPool::pin_workers_to_numa_nodes() {
-  const std::size_t n = queues_.size();
-  std::vector<std::future<void>> done;
-  done.reserve(n);
-  auto bound = std::make_shared<std::atomic<unsigned>>(0);
-  for (unsigned i = 0; i < n; ++i) {
-    done.push_back(submit_pinned(i, [i, n, bound] {
-      if (bind_current_thread_to_node(numa_node_of_worker(i, n))) {
-        bound->fetch_add(1, std::memory_order_relaxed);
-      }
-    }));
-  }
-  for (auto& f : done) f.wait();
-  return bound->load(std::memory_order_relaxed);
-}
-
 void ThreadPool::push_task(TaskFunction task) {
   if (tls_pool == this) {
     // Worker submit: lock-free push onto the bottom of its own deque. The
@@ -112,32 +79,15 @@ bool ThreadPool::try_run_one_task(bool account_busy) {
   const std::size_t n = queues_.size();
   const bool is_worker = tls_pool == this;
   const std::size_t home = is_worker ? tls_worker_index : 0;
-  const bool own_pinned =
-      is_worker &&
-      queues_[home].pinned_count.load(std::memory_order_acquire) > 0;
-  if (pending_.load(std::memory_order_acquire) == 0 && !own_pinned) {
-    return false;
-  }
+  if (pending_.load(std::memory_order_acquire) == 0) return false;
   TaskFunction task;
-  bool from_pinned = false;
   TaskFunction* owned = nullptr;
-  // Own deque bottom first (LIFO keeps caches warm), then the pinned inbox
-  // (only the owner ever looks at it), then the injection queue, then steal
-  // siblings' tops (FIFO takes the oldest, likely-largest unit of work).
-  // Non-workers have no own deque or inbox; they drain the injection queue
-  // and steal.
+  // Own deque bottom first (LIFO keeps caches warm), then the injection
+  // queue, then steal siblings' tops (FIFO takes the oldest, likely-largest
+  // unit of work). Non-workers have no own deque; they drain the injection
+  // queue and steal.
   if (is_worker) owned = queues_[home].deque.pop_bottom();
-  if (owned == nullptr && own_pinned) {
-    Worker& w = queues_[home];
-    MutexLock lock(w.pin_mutex);
-    if (!w.pinned.empty()) {
-      task = std::move(w.pinned.front());
-      w.pinned.pop_front();
-      w.pinned_count.fetch_sub(1, std::memory_order_release);
-      from_pinned = true;
-    }
-  }
-  if (owned == nullptr && !task) {
+  if (owned == nullptr) {
     TaskFunction* injected = nullptr;
     if (inject_ring_.try_pop(injected)) {
       task = std::move(*injected);
@@ -153,8 +103,7 @@ bool ThreadPool::try_run_one_task(bool account_busy) {
     delete owned;
   }
   if (!task) return false;
-  // Pinned tasks are tracked by their inbox counter, not pending_.
-  if (!from_pinned) pending_.fetch_sub(1, std::memory_order_release);
+  pending_.fetch_sub(1, std::memory_order_release);
   if (account_busy) {
     // lint:clock-ok(busy-time accounting for Table II utilization; the
     // measured wall time is reporting-only and never feeds selection)
@@ -178,14 +127,12 @@ void ThreadPool::worker_loop(unsigned index) {
   for (;;) {
     if (try_run_one_task(/*account_busy=*/true)) continue;
     std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleep_cv_.wait(lock, [this, index] {
+    sleep_cv_.wait(lock, [this] {
       return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0 ||
-             queues_[index].pinned_count.load(std::memory_order_acquire) > 0;
+             pending_.load(std::memory_order_acquire) > 0;
     });
     if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0 &&
-        queues_[index].pinned_count.load(std::memory_order_acquire) == 0) {
+        pending_.load(std::memory_order_acquire) == 0) {
       return;
     }
   }

@@ -16,10 +16,10 @@
 // calling thread executes chunks itself and steals unrelated pool tasks
 // while waiting, which makes nested parallel sections deadlock-free.
 //
-// Shutdown contract: a task accepted by submit()/submit_pinned() before the
-// destructor begins either runs to completion or is destroyed unrun, in
-// which case its future reports std::future_error{broken_promise}. Callers
-// never see a silently-dropped future (util_test pins this).
+// Shutdown contract: a task accepted by submit() before the destructor
+// begins either runs to completion or is destroyed unrun, in which case its
+// future reports std::future_error{broken_promise}. Callers never see a
+// silently-dropped future (util_test pins this).
 #pragma once
 
 #include <atomic>
@@ -27,7 +27,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -152,26 +151,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Enqueues a task that only worker `worker % size()` may execute — it is
-  /// never stolen and never runs on the caller. This is the NUMA first-touch
-  /// primitive: a shard-scoring task pinned to a worker allocates its
-  /// frontier memory on that worker's node, and later passes pinned the same
-  /// way reuse it locally. With NUMA off (or a single node) pinning only
-  /// fixes *which* worker runs the task; results are identical either way.
-  template <typename F>
-  std::future<void> submit_pinned(unsigned worker, F&& fn) {
-    std::packaged_task<void()> task(std::forward<F>(fn));
-    std::future<void> fut = task.get_future();
-    push_pinned_task(worker % size(), TaskFunction(std::move(task)));
-    return fut;
-  }
-
-  /// Best-effort: pins each worker thread to its NUMA node's CPU set
-  /// (util/numa.h mapping). Returns how many workers installed a real
-  /// binding — 0 unless built with RECON_NUMA on a multi-node host. Safe to
-  /// call repeatedly or concurrently with running work.
-  unsigned pin_workers_to_numa_nodes();
-
   /// Runs `body` over [begin, end), distributing contiguous chunks across
   /// workers; the calling thread participates and steals pool work while
   /// waiting, so a pool of size T delivers up to T+1-way parallelism.
@@ -225,14 +204,8 @@ class ThreadPool {
   /// One per worker thread. The deque holds heap-allocated TaskFunctions:
   /// Chase-Lev transfers word-sized pointers, so the pool allocates on push
   /// and deletes after execution (the deque itself never touches pointees).
-  /// The pinned inbox holds tasks only this worker may run (submit_pinned);
-  /// its counter is read lock-free on the hot path, the deque itself only
-  /// under the mutex (drained in FIFO order by the owner).
   struct Worker {
     ChaseLevDeque<TaskFunction> deque;
-    Mutex pin_mutex;
-    std::deque<TaskFunction> pinned RECON_GUARDED_BY(pin_mutex);
-    std::atomic<std::size_t> pinned_count{0};
   };
 
   template <typename Body>
@@ -324,7 +297,6 @@ class ThreadPool {
   }
 
   void push_task(TaskFunction task);
-  void push_pinned_task(unsigned worker, TaskFunction task);
   /// Pops or steals one task and runs it. Returns false if the pool is idle.
   bool try_run_one_task(bool account_busy);
   void worker_loop(unsigned index);

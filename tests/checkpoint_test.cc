@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/attack.h"
 #include "core/baselines.h"
@@ -17,6 +18,8 @@
 #include "graph/generators.h"
 #include "sim/fault.h"
 #include "sim/problem.h"
+#include "solver/fallback.h"
+#include "solver/strategy_mip.h"
 #include "test_scratch.h"
 
 namespace recon::core {
@@ -33,6 +36,17 @@ Problem test_problem(int seed, NodeId n = 100) {
   return sim::make_problem(
       graph::assign_edge_probs(graph::barabasi_albert(n, 4, seed),
                                graph::EdgeProbModel::uniform(0.3, 0.95), seed + 1),
+      opts);
+}
+
+Problem er_problem(int seed, NodeId n = 50, graph::EdgeId m = 180) {
+  sim::ProblemOptions opts;
+  opts.num_targets = 16;
+  opts.base_acceptance = 0.5;
+  opts.seed = static_cast<std::uint64_t>(seed);
+  return sim::make_problem(
+      graph::assign_edge_probs(graph::erdos_renyi_gnm(n, m, seed),
+                               graph::EdgeProbModel::uniform(0.2, 0.9), seed + 1),
       opts);
 }
 
@@ -235,6 +249,130 @@ TEST(Checkpoint, PlannerCarryingPmArestBlobsFailClearly) {
   PmArest pm(PmArestOptions{.batch_size = 5});
   pm.restore_state(plain);
   EXPECT_EQ(pm.save_state(), plain);
+}
+
+/// Blobs the runtime planner's hosts wrote for `--planner` runs: the host's
+/// planner-off state line followed by a planner section.
+std::vector<std::string> planner_carrying_blobs(const std::string& plain) {
+  std::string planner = "planner 1 0 0 64 5";
+  for (int i = 0; i < 5; ++i) planner += " 4607182418800017408 4634204016564240384 3";
+  return {plain + " " + planner, plain + " x"};
+}
+
+/// The runtime planner is gone from the solver hosts too: a blob with a
+/// trailing section is refused with a message that says so, while the
+/// planner-off line stays readable byte for byte.
+template <typename Host, typename Options>
+void expect_planner_blobs_fail_clearly(const Options& o, const std::string& plain) {
+  for (const std::string& blob : planner_carrying_blobs(plain)) {
+    Host host(o);
+    try {
+      host.restore_state(blob);
+      ADD_FAILURE() << "accepted: " << blob;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("runtime planner was removed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  Host host(o);
+  host.restore_state(plain);
+  EXPECT_EQ(host.save_state(), plain);
+}
+
+TEST(Checkpoint, PlannerCarryingFallbackBlobsFailClearly) {
+  expect_planner_blobs_fail_clearly<solver::FallbackStrategy>(
+      solver::FallbackOptions{}, "fallback 4 2 1 1");
+}
+
+TEST(Checkpoint, PlannerCarryingMipBlobsFailClearly) {
+  expect_planner_blobs_fail_clearly<solver::MipBatchStrategy>(
+      solver::MipStrategyOptions{}, "mip 4 1");
+}
+
+/// Runs `o`'s strategy once uninterrupted and once stopped after two rounds
+/// and resumed from the checkpoint: traces and the final strategy state
+/// must be bit-identical.
+template <typename Host, typename Options>
+void expect_resume_bit_exact(const Options& o, const std::string& file) {
+  const Problem p = er_problem(35);
+  const sim::World w(p, 305);
+  Host full_strategy(o);
+  const auto full = run_attack(p, w, full_strategy, 8.0);
+  ASSERT_GT(full.batches.size(), 2u);
+
+  TempFile f(file);
+  AttackRunOptions stop;
+  stop.stop_after_rounds = 2;
+  stop.checkpoint_path = f.path;
+  Host first_half(o);
+  run_attack(p, w, first_half, 8.0, stop);
+
+  const AttackCheckpoint cp = read_checkpoint_file(f.path);
+  const sim::World resumed_world(p, cp.world_seed);
+  AttackRunOptions resume;
+  resume.resume = &cp;
+  Host second_half(o);
+  const auto resumed = run_attack(p, resumed_world, second_half, 8.0, resume);
+  expect_traces_equal(full, resumed);
+  EXPECT_EQ(second_half.save_state(), full_strategy.save_state());
+}
+
+TEST(Checkpoint, FallbackResumeRestoresFullStateBitExact) {
+  solver::FallbackOptions o;
+  o.batch_size = 2;
+  o.scenarios_per_batch = 60;
+  o.exact_deadline_seconds = 30.0;  // the exact tier wins every batch
+  o.saa_deadline_seconds = 30.0;
+  o.candidate_cap = 8;
+  expect_resume_bit_exact<solver::FallbackStrategy>(o, "recon_ckpt_fallback.ckpt");
+}
+
+TEST(Checkpoint, MipResumeRestoresFullStateBitExact) {
+  solver::MipStrategyOptions o;
+  o.batch_size = 2;
+  o.scenarios_per_batch = 60;
+  o.candidate_cap = 8;
+  expect_resume_bit_exact<solver::MipBatchStrategy>(o, "recon_ckpt_mip.ckpt");
+}
+
+// PM-AReST hosts no planner: its state is the four varying-k RNG words, and
+// a resumed campaign must end in the same full state as an uninterrupted one.
+TEST(PlannerCheckpoint, PmArestResumeRestoresFullStateBitExact) {
+  const Problem p = test_problem(34);
+  const sim::World w(p, 304);
+  PmArestOptions o;
+  o.batch_size = 6;
+  o.allow_retries = true;
+
+  PmArest full_strategy(o);
+  const auto full = run_attack(p, w, full_strategy, 45.0);
+
+  TempFile f("recon_planner_fullstate.ckpt");
+  AttackRunOptions stop;
+  stop.stop_after_rounds = 3;
+  stop.checkpoint_path = f.path;
+  PmArest first_half(o);
+  run_attack(p, w, first_half, 45.0, stop);
+
+  const AttackCheckpoint cp = read_checkpoint_file(f.path);
+  const sim::World resumed_world(p, cp.world_seed);
+  AttackRunOptions resume;
+  resume.resume = &cp;
+  PmArest second_half(o);
+  const auto resumed = run_attack(p, resumed_world, second_half, 45.0, resume);
+  expect_traces_equal(full, resumed);
+
+  // Full strategy state, not just the selections it produces, is
+  // bit-identical across the resume, and it carries no planner section.
+  EXPECT_EQ(second_half.save_state(), full_strategy.save_state());
+  EXPECT_EQ(full_strategy.save_state().find("planner"), std::string::npos);
+
+  // Checkpoint -> checkpoint round-trip is lossless even before the rebuilt
+  // cache exists: a freshly restored strategy re-emits the same blob.
+  PmArest reloaded(o);
+  reloaded.restore_state(second_half.save_state());
+  EXPECT_EQ(reloaded.save_state(), second_half.save_state());
 }
 
 TEST(Checkpoint, BudgetAndSeedMismatchesAreRejected) {

@@ -133,23 +133,23 @@ TEST(Cli, AttackRefusesAPlannerForPm) {
   ASSERT_EQ(run({"generate", "--model", "ba", "--nodes", "60", "--out",
                  graph_path.c_str()}),
             0);
-  // PM-AReST runs one selector: --planner is refused for --strategy pm
-  // (the default strategy too) with a message that names the flag.
-  std::string err;
-  EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--strategy", "pm",
-                 "--planner", "auto"},
-                nullptr, &err),
-            1);
-  EXPECT_NE(err.find("planner 'auto'"), std::string::npos) << err;
-  err.clear();
-  EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--planner",
-                 "fixed:cached"},
-                nullptr, &err),
-            1);
-  EXPECT_NE(err.find("planner 'fixed:cached'"), std::string::npos) << err;
+  // The runtime planner was removed: --planner is refused for every
+  // strategy and value (off included) with a message that names the flag,
+  // instead of being ignored the way util::Args ignores unknown flags.
+  for (const char* strategy : {"pm", "mip", "fallback"}) {
+    for (const char* planner : {"auto", "off"}) {
+      std::string err;
+      EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--strategy",
+                     strategy, "--planner", planner},
+                    nullptr, &err),
+                1)
+          << strategy << " " << planner;
+      EXPECT_NE(err.find("--planner was removed"), std::string::npos) << err;
+    }
+  }
   std::string out;
   EXPECT_EQ(run({"attack", "--graph", graph_path.c_str(), "--strategy", "pm",
-                 "--planner", "off", "--budget", "10", "--runs", "1"},
+                 "--budget", "10", "--runs", "1"},
                 &out),
             0);
 }

@@ -2,7 +2,9 @@
 // exact -> SAA-greedy -> lazy-greedy FallbackStrategy.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/attack.h"
 #include "graph/generators.h"
@@ -12,6 +14,7 @@
 #include "solver/fallback.h"
 #include "solver/fob.h"
 #include "solver/saa.h"
+#include "util/thread_pool.h"
 
 namespace recon::solver {
 namespace {
@@ -146,6 +149,66 @@ TEST(Fallback, StateRoundTripsThroughSaveRestore) {
   EXPECT_EQ(b.tier_counts().lazy_greedy, a.tier_counts().lazy_greedy);
   FallbackStrategy c(o);
   EXPECT_THROW(c.restore_state("not a fallback blob"), std::invalid_argument);
+}
+
+/// Runs one fallback campaign with no pool and with 2 and 8 workers; every
+/// run must select the same batches, and each must have been served by the
+/// tier `expect_tier` picks out of the counts.
+void expect_thread_count_invariant(
+    FallbackOptions o, double budget,
+    std::uint64_t FallbackTierCounts::*expect_tier) {
+  const Problem p = small_problem(13, 50, 180);
+  const sim::World w(p, 103);
+  sim::AttackTrace base;
+  for (const unsigned threads : {0u, 2u, 8u}) {
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+    o.pool = pool.get();
+    FallbackStrategy strategy(o);
+    const auto trace = core::run_attack(p, w, strategy, budget);
+    ASSERT_GT(trace.batches.size(), 1u) << threads;
+    EXPECT_EQ(strategy.tier_counts().*expect_tier, trace.batches.size())
+        << threads;
+    if (threads == 0) {
+      base = trace;
+      continue;
+    }
+    ASSERT_EQ(trace.batches.size(), base.batches.size()) << threads;
+    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
+      EXPECT_EQ(trace.batches[i].requests, base.batches[i].requests)
+          << "threads=" << threads << " batch " << i;
+      EXPECT_EQ(trace.batches[i].accepted, base.batches[i].accepted)
+          << "threads=" << threads << " batch " << i;
+      EXPECT_EQ(trace.batches[i].outcome, base.batches[i].outcome)
+          << "threads=" << threads << " batch " << i;
+      EXPECT_DOUBLE_EQ(trace.batches[i].cumulative.total(),
+                       base.batches[i].cumulative.total())
+          << "threads=" << threads << " batch " << i;
+    }
+  }
+}
+
+TEST(FallbackDeterminism, ExactTierIdenticalAcrossThreadCounts) {
+  // Deadlines far beyond any solve time: the exact tier wins every batch,
+  // so no wall-clock race can pick a different tier at another pool size.
+  FallbackOptions o;
+  o.batch_size = 2;
+  o.scenarios_per_batch = 120;
+  o.exact_deadline_seconds = 30.0;
+  o.saa_deadline_seconds = 30.0;
+  o.candidate_cap = 10;
+  expect_thread_count_invariant(o, 8.0, &FallbackTierCounts::exact);
+}
+
+TEST(FallbackDeterminism, FloorTierIdenticalAcrossThreadCounts) {
+  // Zero deadlines pin the lazy-greedy floor, which with a pool runs the
+  // sharded parallel scoring pass of batch_select.
+  FallbackOptions o;
+  o.batch_size = 5;
+  o.allow_retries = true;
+  o.exact_deadline_seconds = 0.0;
+  o.saa_deadline_seconds = 0.0;
+  expect_thread_count_invariant(o, 30.0, &FallbackTierCounts::lazy_greedy);
 }
 
 }  // namespace

@@ -222,9 +222,6 @@ TEST(CampaignService, RejectsBadSpecsSynchronously) {
   spec.strategy = "quantum";
   EXPECT_THROW(registry.submit(spec), std::invalid_argument);
   spec.strategy = "pm";
-  spec.planner = "sideways";
-  EXPECT_THROW(registry.submit(spec), std::invalid_argument);
-  spec.planner = "off";
   spec.budget = -1.0;
   EXPECT_THROW(registry.submit(spec), std::invalid_argument);
   EXPECT_THROW(registry.status("c99-0"), std::invalid_argument);
@@ -332,16 +329,18 @@ TEST(CampaignService, ReregisteringAProblemReplacesItsMemo) {
 }
 
 TEST(CampaignProtocol, PmSubmitRefusesAPlanner) {
-  // PM-AReST runs one selector: strategy=pm takes planner=off only, and a
-  // refused SUBMIT queues nothing.
+  // The runtime planner was removed: planner= is an unknown SUBMIT key for
+  // every strategy, and a refused SUBMIT queues nothing.
   TempDir dir;
   CampaignRegistry registry({dir.path, 2});
   registry.register_problem("ba", ba_problem(3));
   bool shutdown = false;
-  const std::string reply = handle_protocol_line(
-      "SUBMIT problem=ba strategy=pm planner=auto", registry, &shutdown);
-  EXPECT_EQ(reply.rfind("ERR planner 'auto'", 0), 0u) << reply;
-  EXPECT_NE(reply.find("strategy mip or fallback"), std::string::npos) << reply;
+  for (const char* strategy : {"pm", "mip", "fallback"}) {
+    const std::string reply = handle_protocol_line(
+        std::string("SUBMIT problem=ba strategy=") + strategy + " planner=off",
+        registry, &shutdown);
+    EXPECT_EQ(reply, "ERR unknown SUBMIT key 'planner'") << strategy;
+  }
   EXPECT_EQ(handle_protocol_line("LIST", registry, &shutdown), "OK 0");
 }
 

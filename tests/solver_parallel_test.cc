@@ -504,19 +504,30 @@ TEST(SaaParallel, FaultedRetriedAttackBitIdenticalWithPool) {
 }
 
 TEST(ShardPlan, BoundsPartitionTheCandidateRange) {
-  std::vector<double> work(257, 1.0);
-  for (const std::size_t parties : {1u, 2u, 5u, 16u}) {
-    for (const double npu : {1.0, 64.0, 1e6}) {
-      const auto bounds = core::plan_score_shards(work, parties, npu);
-      ASSERT_GE(bounds.size(), 2u) << parties << " " << npu;
-      EXPECT_EQ(bounds.front(), 0u);
-      EXPECT_EQ(bounds.back(), work.size());
-      for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
-        EXPECT_LT(bounds[s], bounds[s + 1]) << "empty shard " << s;
-      }
+  // (candidates, parties, shard width) in the layout the wall-clock
+  // calibration produced on a cold start (64 ns/unit), which the fixed work
+  // target keeps. Only the 20000-candidate rows are large enough for the
+  // 1562.5-unit target to bind instead of the 4-per-participant clamp.
+  struct Case {
+    std::size_t n, parties, width;
+  };
+  for (const Case c : {Case{257, 1, 65}, Case{257, 2, 33}, Case{257, 5, 13},
+                       Case{257, 16, 5}, Case{20000, 1, 1563},
+                       Case{20000, 2, 1563}}) {
+    const std::vector<double> work(c.n, 1.0);
+    const auto bounds = core::plan_score_shards(work, c.parties);
+    ASSERT_GE(bounds.size(), 2u) << c.n << " " << c.parties;
+    EXPECT_EQ(bounds.front(), 0u);
+    EXPECT_EQ(bounds.back(), work.size());
+    for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
+      EXPECT_LT(bounds[s], bounds[s + 1]) << "empty shard " << s;
     }
+    std::vector<std::size_t> expected;
+    for (std::size_t b = 0; b < work.size(); b += c.width) expected.push_back(b);
+    expected.push_back(work.size());
+    EXPECT_EQ(bounds, expected) << c.n << " " << c.parties;
   }
-  EXPECT_EQ(core::plan_score_shards({}, 4, 64.0),
+  EXPECT_EQ(core::plan_score_shards({}, 4),
             (std::vector<std::size_t>{0}));  // empty input: empty partition
 }
 
@@ -526,7 +537,7 @@ TEST(ShardPlan, HubHeavyPrefixSplitsFinerThanTheTail) {
   // the first shard than into the last.
   std::vector<double> work(400, 1.0);
   for (std::size_t i = 0; i < 20; ++i) work[i] = 200.0;
-  const auto bounds = core::plan_score_shards(work, /*parties=*/4, 64.0);
+  const auto bounds = core::plan_score_shards(work, /*parties=*/4);
   ASSERT_GE(bounds.size(), 3u);
   const std::size_t first = bounds[1] - bounds[0];
   const std::size_t last = bounds[bounds.size() - 1] - bounds[bounds.size() - 2];
@@ -535,6 +546,10 @@ TEST(ShardPlan, HubHeavyPrefixSplitsFinerThanTheTail) {
   const std::size_t shards = bounds.size() - 1;
   EXPECT_GE(shards, 4u * 4u / 2u);  // >= half the lower clamp (rounding slack)
   EXPECT_LE(shards, 32u * 4u + 1u);
+  // Two hubs per shard, then the tail in ~274-unit shards: the cold-start
+  // (64 ns/unit) layout of the wall-clock calibration.
+  EXPECT_EQ(bounds, (std::vector<std::size_t>{0, 2, 4, 6, 8, 10, 12, 14, 16,
+                                              18, 20, 294, 400}));
 }
 
 TEST(ShardPlan, CalibrationNeverChangesSelectedBatches) {

@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/attack.h"
 #include "core/pm_arest.h"
 #include "graph/generators.h"
 #include "sim/problem.h"
 #include "solver/strategy_mip.h"
+#include "util/thread_pool.h"
 
 namespace recon::solver {
 namespace {
@@ -21,6 +23,74 @@ sim::Problem mip_problem(int seed) {
       graph::assign_edge_probs(graph::erdos_renyi_gnm(40, 90, seed),
                                graph::EdgeProbModel::uniform(0.3, 0.9), seed + 1),
       opts);
+}
+
+sim::Problem ba_problem(int seed, graph::NodeId n = 100) {
+  sim::ProblemOptions opts;
+  opts.num_targets = 20;
+  opts.base_acceptance = 0.4;
+  opts.seed = static_cast<std::uint64_t>(seed);
+  return sim::make_problem(
+      graph::assign_edge_probs(graph::barabasi_albert(n, 4, seed),
+                               graph::EdgeProbModel::uniform(0.3, 0.95), seed + 1),
+      opts);
+}
+
+sim::Problem er_problem(int seed, graph::NodeId n = 80, graph::EdgeId m = 320) {
+  sim::ProblemOptions opts;
+  opts.num_targets = 16;
+  opts.base_acceptance = 0.5;
+  opts.seed = static_cast<std::uint64_t>(seed);
+  return sim::make_problem(
+      graph::assign_edge_probs(graph::erdos_renyi_gnm(n, m, seed),
+                               graph::EdgeProbModel::uniform(0.2, 0.9), seed + 1),
+      opts);
+}
+
+/// Trace equality modulo select_seconds (wall clock, never reproducible).
+void expect_traces_equal(const sim::AttackTrace& a, const sim::AttackTrace& b,
+                         const std::string& label) {
+  ASSERT_EQ(a.batches.size(), b.batches.size()) << label;
+  for (std::size_t i = 0; i < a.batches.size(); ++i) {
+    EXPECT_EQ(a.batches[i].requests, b.batches[i].requests) << label << " batch " << i;
+    EXPECT_EQ(a.batches[i].accepted, b.batches[i].accepted) << label << " batch " << i;
+    EXPECT_EQ(a.batches[i].outcome, b.batches[i].outcome) << label << " batch " << i;
+    EXPECT_DOUBLE_EQ(a.batches[i].cumulative.total(), b.batches[i].cumulative.total())
+        << label << " batch " << i;
+  }
+}
+
+/// The default exact path (SAA scenarios + B&B each round) selects the same
+/// batches with no pool and with 2 or 8 workers fanning out the scenarios.
+void expect_thread_count_invariant(const sim::Problem& p, std::uint64_t world_seed) {
+  const sim::World w(p, world_seed);
+  sim::AttackTrace base;
+  for (const unsigned threads : {0u, 2u, 8u}) {
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+    MipStrategyOptions o;
+    o.batch_size = 3;
+    o.scenarios_per_batch = 60;
+    o.candidate_cap = 8;
+    o.pool = pool.get();
+    MipBatchStrategy strategy(o);
+    const auto trace = core::run_attack(p, w, strategy, 12.0);
+    ASSERT_GT(trace.batches.size(), 1u);
+    EXPECT_TRUE(strategy.all_exact());
+    if (threads == 0) {
+      base = trace;
+    } else {
+      expect_traces_equal(base, trace, "threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(MipDeterminism, IdenticalAcrossThreadCountsBA) {
+  expect_thread_count_invariant(ba_problem(11), 101);
+}
+
+TEST(MipDeterminism, IdenticalAcrossThreadCountsER) {
+  expect_thread_count_invariant(er_problem(12), 102);
 }
 
 TEST(MipStrategy, Validation) {
