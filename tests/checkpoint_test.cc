@@ -328,6 +328,25 @@ TEST(Checkpoint, FallbackResumeRestoresFullStateBitExact) {
   expect_resume_bit_exact<solver::FallbackStrategy>(o, "recon_ckpt_fallback.ckpt");
 }
 
+TEST(Checkpoint, FallbackFloorTierResumeRestoresFullStateBitExact) {
+  // Zero deadlines pin the lazy-greedy floor; retries let it re-request
+  // nodes refused before the checkpoint.
+  solver::FallbackOptions o;
+  o.batch_size = 2;
+  o.allow_retries = true;
+  o.exact_deadline_seconds = 0.0;
+  o.saa_deadline_seconds = 0.0;
+  expect_resume_bit_exact<solver::FallbackStrategy>(o, "recon_ckpt_fallback_floor.ckpt");
+}
+
+TEST(Checkpoint, MipGreedyOnlyResumeRestoresFullStateBitExact) {
+  solver::MipStrategyOptions o;
+  o.batch_size = 2;
+  o.scenarios_per_batch = 60;
+  o.greedy_only = true;
+  expect_resume_bit_exact<solver::MipBatchStrategy>(o, "recon_ckpt_mip_greedy.ckpt");
+}
+
 TEST(Checkpoint, MipResumeRestoresFullStateBitExact) {
   solver::MipStrategyOptions o;
   o.batch_size = 2;

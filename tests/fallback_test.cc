@@ -2,11 +2,14 @@
 // exact -> SAA-greedy -> lazy-greedy FallbackStrategy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "core/attack.h"
+#include "core/batch_select.h"
+#include "core/strategy.h"
 #include "graph/generators.h"
 #include "sim/observation.h"
 #include "sim/problem.h"
@@ -14,6 +17,7 @@
 #include "solver/fallback.h"
 #include "solver/fob.h"
 #include "solver/saa.h"
+#include "solver/strategy_mip.h"
 #include "util/thread_pool.h"
 
 namespace recon::solver {
@@ -151,6 +155,157 @@ TEST(Fallback, StateRoundTripsThroughSaveRestore) {
   EXPECT_THROW(c.restore_state("not a fallback blob"), std::invalid_argument);
 }
 
+TEST(Fallback, MalformedStateBlobsAreRejected) {
+  FallbackStrategy s{FallbackOptions{}};
+  s.restore_state("fallback 4 2 1 1");
+  for (const char* blob :
+       {"", "fallback", "fallback 4 2 1", "fallback -1 0 0 0",
+        "fallback 4 x 1 1", "mip 4 2 1 1", "Fallback 4 2 1 1"}) {
+    EXPECT_THROW(s.restore_state(blob), std::invalid_argument) << '"' << blob << '"';
+    // A refused blob leaves the restored state untouched.
+    EXPECT_EQ(s.save_state(), "fallback 4 2 1 1") << '"' << blob << '"';
+  }
+}
+
+TEST(Fallback, ReusedStrategyReplaysIdentically) {
+  // begin() resets the round counter (which seeds each round's scenarios)
+  // and the tier tallies, so a second campaign on the same object repeats
+  // the first one exactly.
+  const Problem p = small_problem(9, 50, 180);
+  const sim::World w(p, 109);
+  FallbackOptions o;
+  o.batch_size = 2;
+  o.scenarios_per_batch = 80;
+  o.exact_deadline_seconds = 30.0;
+  o.saa_deadline_seconds = 30.0;
+  o.candidate_cap = 8;
+  FallbackStrategy strategy(o);
+  const auto first = core::run_attack(p, w, strategy, 8.0);
+  const std::string first_state = strategy.save_state();
+  const auto second = core::run_attack(p, w, strategy, 8.0);
+  ASSERT_GT(first.batches.size(), 1u);
+  ASSERT_EQ(second.batches.size(), first.batches.size());
+  for (std::size_t i = 0; i < first.batches.size(); ++i) {
+    EXPECT_EQ(second.batches[i].requests, first.batches[i].requests) << i;
+  }
+  EXPECT_EQ(strategy.save_state(), first_state);
+  EXPECT_EQ(strategy.tier_counts().exact, first.batches.size());
+}
+
+/// Expects two traces to select, observe and score the same batches
+/// (select_seconds is wall clock and never compared).
+void expect_same_batches(const sim::AttackTrace& a, const sim::AttackTrace& b,
+                         const std::string& label) {
+  ASSERT_EQ(a.batches.size(), b.batches.size()) << label;
+  for (std::size_t i = 0; i < a.batches.size(); ++i) {
+    EXPECT_EQ(a.batches[i].requests, b.batches[i].requests) << label << " batch " << i;
+    EXPECT_EQ(a.batches[i].accepted, b.batches[i].accepted) << label << " batch " << i;
+    EXPECT_EQ(a.batches[i].outcome, b.batches[i].outcome) << label << " batch " << i;
+    EXPECT_DOUBLE_EQ(a.batches[i].cumulative.total(), b.batches[i].cumulative.total())
+        << label << " batch " << i;
+  }
+}
+
+FallbackOptions ladder_options() {
+  FallbackOptions o;
+  o.batch_size = 2;
+  o.scenarios_per_batch = 100;
+  o.candidate_cap = 10;
+  return o;
+}
+
+TEST(FallbackLadder, ExactTierMatchesTheExactMipStrategy) {
+  // With deadlines no solve reaches, every batch is the exact B&B optimum
+  // over the same per-round scenarios the Exact-MIP strategy samples.
+  const Problem p = small_problem(42, 50, 180);
+  const sim::World w(p, 402);
+  FallbackOptions fo = ladder_options();
+  fo.exact_deadline_seconds = 30.0;
+  fo.saa_deadline_seconds = 30.0;
+  FallbackStrategy fallback(fo);
+  const auto a = core::run_attack(p, w, fallback, 8.0);
+
+  MipStrategyOptions mo;
+  mo.batch_size = fo.batch_size;
+  mo.scenarios_per_batch = fo.scenarios_per_batch;
+  mo.candidate_cap = fo.candidate_cap;
+  MipBatchStrategy mip(mo);
+  const auto b = core::run_attack(p, w, mip, 8.0);
+
+  ASSERT_GT(a.batches.size(), 1u);
+  EXPECT_EQ(fallback.tier_counts().exact, a.batches.size());
+  EXPECT_TRUE(mip.all_exact());
+  expect_same_batches(a, b, "exact tier vs Exact-MIP");
+}
+
+TEST(FallbackLadder, SaaTierMatchesTheSaaGreedyMipStrategy) {
+  // A zero exact deadline skips B&B; the SAA tier then runs the same lazy
+  // greedy over the same scenarios as MipBatchStrategy's greedy_only mode.
+  const Problem p = small_problem(42, 50, 180);
+  const sim::World w(p, 402);
+  FallbackOptions fo = ladder_options();
+  fo.exact_deadline_seconds = 0.0;
+  fo.saa_deadline_seconds = 30.0;
+  FallbackStrategy fallback(fo);
+  const auto a = core::run_attack(p, w, fallback, 8.0);
+
+  MipStrategyOptions mo;
+  mo.batch_size = fo.batch_size;
+  mo.scenarios_per_batch = fo.scenarios_per_batch;
+  mo.greedy_only = true;
+  MipBatchStrategy mip(mo);
+  const auto b = core::run_attack(p, w, mip, 8.0);
+
+  ASSERT_GT(a.batches.size(), 1u);
+  EXPECT_EQ(fallback.tier_counts().saa_greedy, a.batches.size());
+  EXPECT_EQ(fallback.tier_counts().exact, 0u);
+  expect_same_batches(a, b, "saa tier vs SAA-Greedy");
+}
+
+/// Plain BATCHSELECT each round, configured the way the floor tier
+/// documents it: the floor policy, no per-node attempt cap and the
+/// remaining budget as the cost ceiling.
+class PlainBatchSelect : public core::Strategy {
+ public:
+  explicit PlainBatchSelect(const FallbackOptions& o) : o_(o) {}
+  std::string name() const override { return "PlainBatchSelect"; }
+  std::vector<NodeId> next_batch(const Observation& obs,
+                                 double remaining_budget) override {
+    core::BatchSelectOptions bs;
+    bs.batch_size = static_cast<int>(
+        std::min<double>(o_.batch_size, remaining_budget));
+    if (bs.batch_size == 0) return {};
+    bs.policy = o_.floor_policy;
+    bs.allow_retries = o_.allow_retries;
+    bs.remaining_budget = remaining_budget;
+    return core::batch_select(obs, bs);
+  }
+
+ private:
+  FallbackOptions o_;
+};
+
+TEST(FallbackLadder, FloorTierMatchesPlainBatchSelect) {
+  const Problem p = small_problem(43, 60, 220);
+  const sim::World w(p, 403);
+  for (const bool retries : {false, true}) {
+    FallbackOptions fo;
+    fo.batch_size = 4;
+    fo.allow_retries = retries;
+    fo.exact_deadline_seconds = 0.0;
+    fo.saa_deadline_seconds = 0.0;
+    util::ThreadPool pool(2);
+    fo.pool = &pool;
+    FallbackStrategy fallback(fo);
+    const auto a = core::run_attack(p, w, fallback, 22.0);
+    PlainBatchSelect plain(fo);
+    const auto b = core::run_attack(p, w, plain, 22.0);
+    ASSERT_GT(a.batches.size(), 1u);
+    EXPECT_EQ(fallback.tier_counts().lazy_greedy, a.batches.size());
+    expect_same_batches(a, b, retries ? "floor, retries" : "floor");
+  }
+}
+
 /// Runs one fallback campaign with no pool and with 2 and 8 workers; every
 /// run must select the same batches, and each must have been served by the
 /// tier `expect_tier` picks out of the counts.
@@ -173,18 +328,7 @@ void expect_thread_count_invariant(
       base = trace;
       continue;
     }
-    ASSERT_EQ(trace.batches.size(), base.batches.size()) << threads;
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      EXPECT_EQ(trace.batches[i].requests, base.batches[i].requests)
-          << "threads=" << threads << " batch " << i;
-      EXPECT_EQ(trace.batches[i].accepted, base.batches[i].accepted)
-          << "threads=" << threads << " batch " << i;
-      EXPECT_EQ(trace.batches[i].outcome, base.batches[i].outcome)
-          << "threads=" << threads << " batch " << i;
-      EXPECT_DOUBLE_EQ(trace.batches[i].cumulative.total(),
-                       base.batches[i].cumulative.total())
-          << "threads=" << threads << " batch " << i;
-    }
+    expect_same_batches(base, trace, "threads=" + std::to_string(threads));
   }
 }
 
@@ -209,6 +353,17 @@ TEST(FallbackDeterminism, FloorTierIdenticalAcrossThreadCounts) {
   o.exact_deadline_seconds = 0.0;
   o.saa_deadline_seconds = 0.0;
   expect_thread_count_invariant(o, 30.0, &FallbackTierCounts::lazy_greedy);
+}
+
+TEST(FallbackDeterminism, SaaTierIdenticalAcrossThreadCounts) {
+  // No exact tier and a deadline far beyond any solve: the SAA greedy tier
+  // serves every batch, with its scenario fan-out on the pool.
+  FallbackOptions o;
+  o.batch_size = 3;
+  o.scenarios_per_batch = 120;
+  o.exact_deadline_seconds = 0.0;
+  o.saa_deadline_seconds = 30.0;
+  expect_thread_count_invariant(o, 9.0, &FallbackTierCounts::saa_greedy);
 }
 
 }  // namespace

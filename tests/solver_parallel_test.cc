@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -550,6 +551,65 @@ TEST(ShardPlan, HubHeavyPrefixSplitsFinerThanTheTail) {
   // (64 ns/unit) layout of the wall-clock calibration.
   EXPECT_EQ(bounds, (std::vector<std::size_t>{0, 2, 4, 6, 8, 10, 12, 14, 16,
                                               18, 20, 294, 400}));
+}
+
+TEST(ShardPlan, LayoutIsAPureFunctionOfWorkAndParties) {
+  // Shards are sized from work alone: nothing a previous plan or a pooled
+  // selection measured carries into the next layout.
+  std::vector<double> work(3000);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    work[i] = 1.0 + static_cast<double>((i * 7919) % 97);
+  }
+  const auto first = core::plan_score_shards(work, 4);
+  core::plan_score_shards(std::vector<double>(100000, 50.0), 1);
+  core::plan_score_shards({1e9, 1e-9, 3.0}, 16);
+  const Problem p = fixture_problem(true, 19, /*n=*/220);
+  const Observation obs(p);
+  util::ThreadPool pool(3);
+  core::BatchSelectOptions par;
+  par.batch_size = 8;
+  par.pool = &pool;
+  ASSERT_FALSE(core::batch_select(obs, par).empty());
+  EXPECT_EQ(core::plan_score_shards(work, 4), first);
+  // A zero participant count plans like a lone caller.
+  EXPECT_EQ(core::plan_score_shards(work, 0), core::plan_score_shards(work, 1));
+}
+
+TEST(ShardPlan, ShardCountStaysWithinThePerParticipantClamp) {
+  // At most 32 shards per participant however small the work: every shard
+  // but the last carries at least 1/32 of a participant's share. And with
+  // equal work per candidate, at least about 4 per participant (half that,
+  // for rounding, and never more than one per candidate) however large the
+  // 1562.5-unit target makes each shard.
+  for (const std::size_t n : {1u, 3u, 64u, 257u, 5000u, 100000u}) {
+    for (const bool lumpy : {false, true}) {
+      std::vector<double> work(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        work[i] = lumpy ? 1.0 + static_cast<double>((i * 7919) % 97) : 1.0;
+      }
+      for (const std::size_t parties : {1u, 2u, 5u, 16u}) {
+        const auto bounds = core::plan_score_shards(work, parties);
+        ASSERT_GE(bounds.size(), 2u);
+        EXPECT_EQ(bounds.front(), 0u);
+        EXPECT_EQ(bounds.back(), n);
+        const std::size_t shards = bounds.size() - 1;
+        EXPECT_LE(shards, 32 * parties + 1) << n << " " << lumpy << " " << parties;
+        if (!lumpy) {
+          EXPECT_GE(shards, std::min(n, 2 * parties)) << n << " " << parties;
+        }
+        const double total = std::accumulate(work.begin(), work.end(), 0.0);
+        for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
+          ASSERT_LT(bounds[s], bounds[s + 1]) << "empty shard " << s;
+          if (s + 2 == bounds.size()) break;  // the last shard takes the rest
+          const double shard_work = std::accumulate(
+              work.begin() + static_cast<std::ptrdiff_t>(bounds[s]),
+              work.begin() + static_cast<std::ptrdiff_t>(bounds[s + 1]), 0.0);
+          EXPECT_GE(shard_work, total / static_cast<double>(32 * parties))
+              << n << " " << lumpy << " " << parties << " shard " << s;
+        }
+      }
+    }
+  }
 }
 
 TEST(ShardPlan, CalibrationNeverChangesSelectedBatches) {

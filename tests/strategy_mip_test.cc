@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/attack.h"
@@ -60,23 +61,31 @@ void expect_traces_equal(const sim::AttackTrace& a, const sim::AttackTrace& b,
   }
 }
 
-/// The default exact path (SAA scenarios + B&B each round) selects the same
-/// batches with no pool and with 2 or 8 workers fanning out the scenarios.
-void expect_thread_count_invariant(const sim::Problem& p, std::uint64_t world_seed) {
+MipStrategyOptions determinism_options() {
+  MipStrategyOptions o;
+  o.batch_size = 3;
+  o.scenarios_per_batch = 60;
+  o.candidate_cap = 8;
+  return o;
+}
+
+/// A MIP campaign (the default exact path, SAA scenarios + B&B each round,
+/// unless `o` picks another solver) selects the same batches with no pool
+/// and with 2 or 8 workers fanning out the scenarios.
+void expect_thread_count_invariant(const sim::Problem& p, std::uint64_t world_seed,
+                                   MipStrategyOptions o = determinism_options()) {
   const sim::World w(p, world_seed);
   sim::AttackTrace base;
   for (const unsigned threads : {0u, 2u, 8u}) {
     std::unique_ptr<util::ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-    MipStrategyOptions o;
-    o.batch_size = 3;
-    o.scenarios_per_batch = 60;
-    o.candidate_cap = 8;
     o.pool = pool.get();
     MipBatchStrategy strategy(o);
     const auto trace = core::run_attack(p, w, strategy, 12.0);
     ASSERT_GT(trace.batches.size(), 1u);
-    EXPECT_TRUE(strategy.all_exact());
+    if (!o.greedy_only) {
+      EXPECT_TRUE(strategy.all_exact());
+    }
     if (threads == 0) {
       base = trace;
     } else {
@@ -91,6 +100,18 @@ TEST(MipDeterminism, IdenticalAcrossThreadCountsBA) {
 
 TEST(MipDeterminism, IdenticalAcrossThreadCountsER) {
   expect_thread_count_invariant(er_problem(12), 102);
+}
+
+TEST(MipDeterminism, GreedyOnlyIdenticalAcrossThreadCounts) {
+  MipStrategyOptions o = determinism_options();
+  o.greedy_only = true;
+  expect_thread_count_invariant(ba_problem(13), 103, o);
+}
+
+TEST(MipDeterminism, BendersIdenticalAcrossThreadCounts) {
+  MipStrategyOptions o = determinism_options();
+  o.use_benders = true;
+  expect_thread_count_invariant(er_problem(14, 50, 180), 104, o);
 }
 
 TEST(MipStrategy, Validation) {
@@ -132,6 +153,35 @@ TEST(MipStrategy, BendersVariantMatchesBnbVariant) {
     EXPECT_EQ(t1.batches[i].requests, t2.batches[i].requests);
   }
   EXPECT_TRUE(benders.all_exact());
+}
+
+TEST(MipStrategy, MalformedStateBlobsAreRejected) {
+  MipBatchStrategy s{MipStrategyOptions{}};
+  s.restore_state("mip 4 0");
+  for (const char* blob : {"", "mip", "mip 4", "mip -1 1", "mip x 1",
+                           "fallback 4 0", "MIP 4 0"}) {
+    EXPECT_THROW(s.restore_state(blob), std::invalid_argument) << '"' << blob << '"';
+    // A refused blob leaves the restored state untouched.
+    EXPECT_EQ(s.save_state(), "mip 4 0") << '"' << blob << '"';
+    EXPECT_FALSE(s.all_exact());
+  }
+}
+
+TEST(MipStrategy, ReusedStrategyReplaysIdentically) {
+  // begin() resets the round counter that seeds each round's scenarios, so
+  // a second campaign on the same object repeats the first one exactly.
+  const sim::Problem p = mip_problem(5);
+  const sim::World w(p, 11);
+  MipStrategyOptions o = determinism_options();
+  o.batch_size = 2;
+  MipBatchStrategy strategy(o);
+  const auto first = core::run_attack(p, w, strategy, 8.0);
+  const std::string first_state = strategy.save_state();
+  const auto second = core::run_attack(p, w, strategy, 8.0);
+  ASSERT_GT(first.batches.size(), 1u);
+  expect_traces_equal(first, second, "second campaign");
+  EXPECT_EQ(strategy.save_state(), first_state);
+  EXPECT_TRUE(strategy.all_exact());
 }
 
 TEST(MipStrategy, RunsFullAttackWithinBudget) {
