@@ -15,8 +15,8 @@ using graph::NodeId;
 
 /// The pick loop's view of the persistent heap for one batch: the heap's
 /// valid top, merged with a batch-local heap of in-batch rescored entries.
-/// Dead entries are discarded and cooling-down ones stashed before every
-/// peek (the valid-entry rule in the header).
+/// Before every peek dead entries are discarded, cooling-down ones stashed
+/// (the valid-entry rule in the header) and a bound top settled.
 class CachedSelector::PickFrontier {
  public:
   explicit PickFrontier(CachedSelector& sel) : sel_(sel) {}
@@ -54,9 +54,14 @@ class CachedSelector::PickFrontier {
   void settle() {
     while (!sel_.heap_.empty()) {
       const NodeId u = sel_.heap_.front().node;
-      if (sel_.candidate(u)) return;
-      sel_.heap_pop();
-      if (sel_.admissible(u)) sel_.returning_.push_back(u);  // cooling down
+      if (!sel_.candidate(u)) {
+        sel_.heap_pop();
+        if (sel_.admissible(u)) sel_.returning_.push_back(u);  // cooling down
+      } else if (sel_.dirty_[u] == kBound) {
+        sel_.refresh_bound_top();
+      } else {
+        return;
+      }
     }
   }
 
@@ -131,33 +136,39 @@ void CachedSelector::rescore_node(NodeId u) {
   double s = obs_->is_friend(u) ? 0.0 : marginal_gain(*obs_, u, policy_);
   if (cost_sensitive_) s /= obs_->problem().cost_of(u);
   cached_[u] = s;
-  dirty_[u] = 0;
+  dirty_[u] = kClean;
   rescores_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void CachedSelector::mark_dirty(NodeId u) {
-  if (!dirty_[u]) {
-    dirty_[u] = 1;
+  if (dirty_[u] != kStale) {
+    dirty_[u] = kStale;
     dirty_list_.push_back(u);
   }
 }
 
+void CachedSelector::mark_bound(NodeId u) {
+  if (dirty_[u] == kClean) dirty_[u] = kBound;
+}
+
 // Accepting x changes only x, x's incident edges, and the mutual counter
 // and FoF flag of x's true neighbors (Observation::record_accept). So x and
-// every graph neighbor v of x are dirty: the edge (x, v) is revealed, and
+// every graph neighbor v of x are stale: the edge (x, v) is revealed, and
 // v's mutual count, FoF flag and q(v) may move. A node w two hops away sees
 // v's change only through its term p̂_wv · Bfof(v), which marginal_gain
-// drops once v is a FoF. When Bfof(v) is ±0 that term is ±0: adding -0.0
-// never changes a sum, and adding +0.0 changes only a -0.0 one, which
-// `inner` is not — it starts at Bf(w) or Bf(w) − Bfof(w) (validated
-// Bf ≥ Bfof ≥ 0) and only grows by products of non-negative factors — so
-// w's score keeps every bit. (-0.0 passes that validation; a -0.0 Bf(w)
-// could flip the sign of a zero score, which no `> 0.0` test tells apart.) v's
-// neighbors are therefore dirtied only when v carries FoF benefit, is a FoF
-// now, and has not been expanded before; FoF status is monotone (a FoF
-// only ever becomes a friend), so each flip is expanded once. A node that
-// turns FoF and is accepted before its flip is expanded here needs none:
-// its own notify_accept dirties its neighbors.
+// drops once v is a FoF; w's score can only fall, so w is bound (the
+// header has the argument) unless it is stale for another reason. When
+// Bfof(v) is ±0 that term is ±0: adding -0.0 never changes a sum, and
+// adding +0.0 changes only a -0.0 one, which `inner` is not — it starts at
+// Bf(w) or Bf(w) − Bfof(w) (validated Bf ≥ Bfof ≥ 0) and only grows by
+// products of non-negative factors — so w's score keeps every bit. (-0.0
+// passes that validation; a -0.0 Bf(w) could flip the sign of a zero
+// score, which no `> 0.0` test tells apart.) v's neighbors are therefore
+// bound only when v carries FoF benefit, is a FoF now, and has not been
+// expanded before; FoF status is monotone (a FoF only ever becomes a
+// friend), so each flip is expanded once. A node that turns FoF and is
+// accepted before its flip is expanded here needs none: its own
+// notify_accept makes its neighbors stale.
 void CachedSelector::mark_two_hop_dirty(NodeId x) {
   const auto& g = obs_->problem().graph;
   const auto& bfof = obs_->problem().benefit.bfof;
@@ -166,7 +177,7 @@ void CachedSelector::mark_two_hop_dirty(NodeId x) {
     mark_dirty(v);
     if (fof_seen_[v] || bfof[v] == 0.0 || !obs_->is_fof(v)) continue;
     fof_seen_[v] = 1;
-    for (const NodeId w : g.neighbors(v)) mark_dirty(w);
+    for (const NodeId w : g.neighbors(v)) mark_bound(w);
   }
 }
 
@@ -270,7 +281,7 @@ void CachedSelector::rescore_pristine(std::span<const NodeId> nodes) {
   } else {
     score_empty(obs_->problem(), policy_, cost_sensitive_, nodes, cached_);
   }
-  for (const NodeId u : nodes) dirty_[u] = 0;
+  for (const NodeId u : nodes) dirty_[u] = kClean;
   rescores_.fetch_add(nodes.size(), std::memory_order_relaxed);
 }
 
@@ -311,7 +322,7 @@ void CachedSelector::refresh_full() {
     heap_.push_back({0.0, u, g.orig_id(u)});  // keyed once scores are fresh
     if (dirty_[u]) stale.push_back(u);
   }
-  // Inadmissible dirty nodes keep their bit for a later full refresh.
+  // Inadmissible dirty nodes keep their state for a later full refresh.
   dirty_list_.clear();
   rescore(stale);
 
@@ -325,13 +336,14 @@ void CachedSelector::refresh_full() {
 
 namespace {
 
-/// Puts a marked-node list in ascending id order, so the passes over it
-/// (and the rescoring, which walks each node's CSR row) read memory front
-/// to back. A list long enough that sorting it would cost more than one
-/// pass over the bitmap is regathered from the bitmap instead; that also
-/// brings back marked nodes the list had dropped as excluded, which the
-/// caller filters out again.
-void order_by_id(std::vector<NodeId>& list, const std::vector<std::uint8_t>& marked) {
+/// Puts a list of the nodes whose `marked` entry is `state` in ascending id
+/// order, so the passes over it (and the rescoring, which walks each
+/// node's CSR row) read memory front to back. A list long enough that
+/// sorting it would cost more than one pass over the bitmap is regathered
+/// from the bitmap instead; that also brings back marked nodes the list had
+/// dropped as excluded, which the caller filters out again.
+void order_by_id(std::vector<NodeId>& list, const std::vector<std::uint8_t>& marked,
+                 std::uint8_t state) {
   const std::size_t d = list.size();
   if (d * static_cast<std::size_t>(std::bit_width(d)) <= marked.size()) {
     std::sort(list.begin(), list.end());
@@ -339,24 +351,46 @@ void order_by_id(std::vector<NodeId>& list, const std::vector<std::uint8_t>& mar
   }
   list.clear();
   for (NodeId u = 0; u < static_cast<NodeId>(marked.size()); ++u) {
-    if (marked[u]) list.push_back(u);
+    if (marked[u] == state) list.push_back(u);
   }
 }
 
 }  // namespace
 
 void CachedSelector::refresh_dirty() {
-  order_by_id(dirty_list_, dirty_);
+  order_by_id(dirty_list_, dirty_, kStale);
+  refresh(dirty_list_);
+  dirty_list_.clear();
+}
+
+// The bound entries reachable from the root through bound entries only.
+// Every other bound entry has a fresh ancestor, whose exact key ranks
+// before its bound and so before its exact score.
+void CachedSelector::refresh_bound_top() {
+  std::vector<NodeId> bound;
+  std::vector<std::size_t> walk{0};
+  while (!walk.empty()) {
+    const std::size_t i = walk.back();
+    walk.pop_back();
+    if (i >= heap_.size() || dirty_[heap_[i].node] != kBound) continue;
+    bound.push_back(heap_[i].node);
+    walk.push_back(2 * i + 1);
+    walk.push_back(2 * i + 2);
+  }
+  std::sort(bound.begin(), bound.end());
+  refresh(bound);
+}
+
+void CachedSelector::refresh(std::span<const NodeId> nodes) {
   std::vector<NodeId> stale;
-  stale.reserve(dirty_list_.size());
-  for (const NodeId u : dirty_list_) {
+  stale.reserve(nodes.size());
+  for (const NodeId u : nodes) {
     if (admissible(u)) {
       stale.push_back(u);
     } else if (in_heap(u)) {
-      heap_erase(u);  // dirty bit kept for a later full refresh
+      heap_erase(u);  // dirty state kept for a later full refresh
     }
   }
-  dirty_list_.clear();
   rescore(stale);
 
   const std::size_t size = heap_.size() + stale.size();

@@ -5,26 +5,36 @@
 // each batch — O(n · deg) per batch. But an observation changes the marginal
 // gain of few nodes. A reject changes only the rejected node's. Accepting x
 // reveals x's edges and bumps the mutual counters and FoF flags of x's true
-// neighbors, so x and every neighbor v of x are dirty. A node w two hops
+// neighbors, so x and every neighbor v of x are stale. A node w two hops
 // away depends on v only through its term p̂_wv · Bfof(v), which vanishes
-// when v turns FoF; so v's neighbors are dirty only when v carries FoF
+// when v turns FoF; so v's neighbors are touched only when v carries FoF
 // benefit (Bfof(v) ≠ 0), is a FoF now, and was not expanded before. With
 // Bfof(v) = 0 the term is a zero, and dropping it leaves w's score bit for
 // bit (mark_two_hop_dirty has the argument). CachedSelector keeps the base
 // marginal Δf(u | ω) of every candidate across batches and rescores only
-// the dirty nodes: the paper's CΔ cache (Alg. 2 lines 8–11), which dirties
-// the whole 2-hop neighbourhood of an accept, pruned to the nodes whose
-// score can change.
+// the nodes whose score can change: the paper's CΔ cache (Alg. 2 lines
+// 8–11), which dirties the whole 2-hop neighbourhood of an accept, pruned.
+//
+// Stale and bound. A node adjacent to an accept, or rejected, is "stale":
+// rescored at the start of the next batch. A node touched only as the
+// second hop of a FoF flip is "bound" and keeps its old key (Minoux's
+// accelerated greedy, CELF). Its score can only have fallen: its q, its
+// mutual count, its FoF flag and its edge states move only when it is
+// adjacent to an accept, so all it lost are terms p̂_wv · Bfof(v) ≥ 0
+// (validated finite and non-negative). Round-to-nearest addition,
+// multiplication by q ≥ 0 and division by a cost > 0 are all monotone, so
+// the kept key is ≥ the exact score bit for bit, and an exact key that
+// tops every bound key tops their exact scores too, ties included.
 //
 // The frontier. The base scores live in an addressable max-heap keyed by
 // (score, original node id) with a position index per node, so a batch
 // costs O(dirty · log n), not an O(n log n) rebuild:
-//  * notify_* marks nodes dirty and appends them to a dirty list; at batch
+//  * notify_* marks nodes stale and appends them to a dirty list; at batch
 //    start only that list is rescored (one pool fan-out when a pool is set)
-//    and only those keys are updated in place. The list is visited in id
-//    order so rescoring reads the CSR rows front to back; only a list so
-//    long that sorting it costs more than one pass over the n-byte dirty
-//    bitmap is regathered from that bitmap.
+//    and only those keys are updated in place. Bound nodes are not listed.
+//    The list is visited in id order so rescoring reads the CSR rows front
+//    to back; only a list so long that sorting it costs more than one pass
+//    over the n-byte dirty bitmap is regathered from that bitmap.
 //  * Valid-entry rule: every entry best_score / pop_best expose is a
 //    candidate of this batch (requestable, under the attempt cap,
 //    affordable under the call's budget) with a positive base score. Dead
@@ -35,6 +45,12 @@
 //    call parameters do not loosen (budget and attempts only move one way
 //    in a campaign); a call that loosens them (retries switched on, a
 //    higher cap or budget) rebuilds the frontier from a full scan.
+//  * Settle: before the pick loop sees the heap's top, every bound entry
+//    above the heap's fresh frontier — reachable from the root through
+//    bound entries only — is rescored in one pool fan-out and re-keyed
+//    under the bulk rule below; then the top is checked again. A bound
+//    entry below a fresh one is no better than that entry's exact key, so
+//    it can wait. The exposed top is the all-exact heap's top.
 //  * Cooldown stash: a node in retry backoff is not a candidate now but
 //    becomes one when the clock passes its deadline, with no notification.
 //    When it surfaces it is stashed and reinserted after the batch.
@@ -46,9 +62,8 @@
 //    BatchState is a member reused through its O(1) reset().
 //  * Bulk rule: when the dirty nodes to re-key outnumber frontier size /
 //    log2(frontier size) — an accepted BA hub with many neighbors, or a
-//    benefit model where every node carries FoF benefit, so each new FoF's
-//    neighbors are dirtied too — one make_heap over the frontier replaces
-//    the per-node sifts.
+//    settle that surfaces a large bound region — one make_heap over the
+//    frontier replaces the per-node sifts.
 //
 // The first batch. A campaign's first refresh_full scores the whole
 // frontier on an empty observation (Observation::pristine(): no friend, no
@@ -62,10 +77,11 @@
 // problem pays for Γ₀ once at CampaignRegistry::register_problem, not once
 // per campaign.
 //
-// With a thread pool the dirty rescore fans out over the pool (each node's
-// score is independent; the rescore counter is atomic), while the pick loop
-// (core/lazy_greedy.h, shared with batch_select) stays sequential for
-// determinism. Batches are identical with and without a pool.
+// With a thread pool the dirty and settle rescores fan out over the pool
+// (each node's score is independent; the rescore counter is atomic), while
+// the pick loop (core/lazy_greedy.h, shared with batch_select) stays
+// sequential for determinism. Batches are identical with and without a
+// pool.
 //
 // Equivalence contract (tested differentially against batch_select):
 // CachedSelector::select_batch returns the same batch as core::batch_select
@@ -74,10 +90,10 @@
 //
 // Thread compatibility: the memo tables (cached_, dirty_) are not guarded by
 // a mutex on purpose — during the parallel rescore each pool worker takes a
-// disjoint range of the duplicate-free dirty list and so writes distinct
-// slots of both vectors (data-race-free by partitioning, not locking;
-// TSan-verified in cached_selector_test), and the only cross-thread write is
-// the atomic rescore counter. Outside select_batch the selector is
+// disjoint range of the duplicate-free dirty or settle list and so writes
+// distinct slots of both vectors (data-race-free by partitioning, not
+// locking; TSan-verified in cached_selector_test), and the only cross-thread
+// write is the atomic rescore counter. Outside select_batch the selector is
 // single-thread confined: callers must not invoke notify_* / select_batch
 // concurrently on one instance.
 #pragma once
@@ -136,9 +152,16 @@ class CachedSelector {
                                           double remaining_budget);
 
   /// u's cached base score Δf(u | ω) (divided by c(u) when cost-sensitive),
-  /// or nullopt while u is dirty. Read-only; for exactness tests.
+  /// or nullopt while u is stale or bound. Read-only; for exactness tests.
   std::optional<double> base_score(graph::NodeId u) const {
-    if (dirty_[u]) return std::nullopt;
+    if (dirty_[u] != kClean) return std::nullopt;
+    return cached_[u];
+  }
+
+  /// u's kept key while u is bound — an upper bound on its base score —
+  /// else nullopt. Read-only; for exactness tests.
+  std::optional<double> bound_key(graph::NodeId u) const {
+    if (dirty_[u] != kBound) return std::nullopt;
     return cached_[u];
   }
 
@@ -167,9 +190,14 @@ class CachedSelector {
     graph::NodeId rank;
   };
   static constexpr std::uint32_t kNotInHeap = ~std::uint32_t{0};
+  /// dirty_ states: cached_ exact; invalid; an upper bound (see the header).
+  static constexpr std::uint8_t kClean = 0;
+  static constexpr std::uint8_t kStale = 1;
+  static constexpr std::uint8_t kBound = 2;
 
-  void rescore_node(graph::NodeId u);  ///< recomputes cached_[u], clears dirty
-  void mark_dirty(graph::NodeId u);
+  void rescore_node(graph::NodeId u);  ///< recomputes cached_[u], marks it clean
+  void mark_dirty(graph::NodeId u);    ///< stale
+  void mark_bound(graph::NodeId u);    ///< bound, unless stale already
   void mark_two_hop_dirty(graph::NodeId u);
 
   /// Not permanently excluded under the current call's parameters: a
@@ -183,8 +211,14 @@ class CachedSelector {
   /// after a loosening call, else the dirty-list path.
   void refresh_full();
   void refresh_dirty();
-  /// Recomputes cached_ for `nodes` and clears their dirty bits; on a
-  /// pristine observation through the state-free Γ₀ pass or the memo.
+  /// Rescores and re-keys the admissible nodes of `nodes` (ascending ids)
+  /// and drops the others from the heap, their dirty state kept for a
+  /// later full refresh.
+  void refresh(std::span<const graph::NodeId> nodes);
+  /// Rescores the bound entries above the heap's fresh frontier (settle).
+  void refresh_bound_top();
+  /// Recomputes cached_ for `nodes` and marks them clean; on a pristine
+  /// observation through the state-free Γ₀ pass or the memo.
   void rescore(const std::vector<graph::NodeId>& nodes);
   void rescore_pristine(std::span<const graph::NodeId> nodes);
 
@@ -205,8 +239,8 @@ class CachedSelector {
   util::ThreadPool* pool_;
   std::shared_ptr<const EmptyScores> empty_;  ///< null unless it matches
   std::vector<double> cached_;        ///< base Δf (cost-adjusted) per node
-  std::vector<std::uint8_t> dirty_;   ///< cache invalid flags
-  std::vector<graph::NodeId> dirty_list_;  ///< nodes marked since last batch
+  std::vector<std::uint8_t> dirty_;   ///< kClean, kStale or kBound per node
+  std::vector<graph::NodeId> dirty_list_;  ///< nodes made stale since last batch
   /// FoFs whose neighbors were dirtied for their flip (or that were FoFs
   /// already at construction); see mark_two_hop_dirty.
   std::vector<std::uint8_t> fof_seen_;

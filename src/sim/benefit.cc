@@ -10,7 +10,11 @@ void BenefitModel::validate(const graph::Graph& g) const {
       bi.size() != g.num_edges()) {
     throw std::invalid_argument("BenefitModel: size mismatch with graph");
   }
+  // NaN passes every comparison below, so finiteness is checked first.
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (!std::isfinite(bf[u]) || !std::isfinite(bfof[u])) {
+      throw std::invalid_argument("BenefitModel: non-finite node benefit");
+    }
     if (bf[u] < 0.0 || bfof[u] < 0.0) {
       throw std::invalid_argument("BenefitModel: negative node benefit");
     }
@@ -19,6 +23,9 @@ void BenefitModel::validate(const graph::Graph& g) const {
     }
   }
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!std::isfinite(bi[e])) {
+      throw std::invalid_argument("BenefitModel: non-finite edge benefit");
+    }
     if (bi[e] < 0.0) throw std::invalid_argument("BenefitModel: negative edge benefit");
   }
 }

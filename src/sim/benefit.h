@@ -25,7 +25,8 @@ struct BenefitModel {
   double fof_benefit(graph::NodeId u) const noexcept { return bfof[u]; }
   double edge_benefit(graph::EdgeId e) const noexcept { return bi[e]; }
 
-  /// Validates sizes and the Bfof(u) <= Bf(u) and nonnegativity invariants.
+  /// Validates sizes, finiteness, and the Bfof(u) <= Bf(u) and
+  /// nonnegativity invariants.
   /// Throws std::invalid_argument on violation.
   void validate(const graph::Graph& g) const;
 };

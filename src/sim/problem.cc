@@ -1,6 +1,7 @@
 #include "sim/problem.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <numeric>
 #include <stdexcept>
@@ -39,6 +40,7 @@ void Problem::validate() const {
       throw std::invalid_argument("Problem: cost vector size mismatch");
     }
     for (double c : cost) {
+      if (!std::isfinite(c)) throw std::invalid_argument("Problem: non-finite cost");
       if (c <= 0.0) throw std::invalid_argument("Problem: nonpositive cost");
     }
   }

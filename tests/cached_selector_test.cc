@@ -2,7 +2,8 @@
 // uncached selector over full attacks (including a batch-by-batch
 // differential campaign with ties, retries, cooldowns, timeouts, costs,
 // varying k and a mid-campaign resume), bit-exact clean scores under the
-// pruned invalidation, cache-efficiency and frontier-work accounting, and
+// pruned invalidation, upper-bound keys of the lazily rescored two-hop
+// nodes, cache-efficiency and frontier-work accounting, and
 // the strategy-level wiring (PM-AReST's attacks match a
 // test-local uncached oracle strategy).
 #include <gtest/gtest.h>
@@ -847,6 +848,185 @@ TEST(CachedSelector, AcceptsRescoreOnlyBenefitCarryingFofRegions) {
     EXPECT_EQ(rescores_per_batch(p, threads).rescores, log.rescores)
         << threads << " workers";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bound entries: with the targets in one BFS ball (the served Table III
+// shape) an accept flips many benefit-carrying FoFs, and the second hop of
+// each flip keeps its old key, an upper bound, until it nears the heap top.
+
+/// A BA graph with its targets in one BFS ball. `uniform` swaps in a
+/// benefit where every node carries FoF benefit, over constant edge
+/// probabilities: every flip is expanded and equal scores are common.
+Problem ball_problem(double boost, bool costs, bool uniform) {
+  const std::uint64_t seed = 23;
+  graph::Graph g = graph::barabasi_albert(2000, 3, seed);
+  g = graph::assign_edge_probs(g,
+                               uniform ? graph::EdgeProbModel::constant(0.5)
+                                       : graph::EdgeProbModel::uniform(0.25, 0.95),
+                               seed + 1);
+  sim::ProblemOptions opts;
+  opts.num_targets = 80;  // n / 25, as on table3-serve
+  opts.target_mode = sim::TargetMode::kBfsBall;
+  opts.base_acceptance = 0.3;
+  opts.mutual_boost = boost;
+  opts.seed = seed;
+  Problem p = sim::make_problem(std::move(g), opts);
+  if (uniform) p.benefit = sim::make_uniform_benefit(p.graph, 0.5, 0.25);
+  if (costs) {
+    util::Rng rng(seed * 7);
+    p.cost.resize(p.graph.num_nodes());
+    for (auto& c : p.cost) c = static_cast<double>(rng.range(1, 3));
+  }
+  p.validate();
+  return p;
+}
+
+/// What one k = 5 campaign on a ball problem did: per-batch frontier work
+/// and the nodes each batch got accepted and rejected.
+struct BallCampaign {
+  std::vector<FrontierWork> work;
+  std::vector<std::vector<NodeId>> accepted;
+  std::vector<std::vector<NodeId>> rejected;
+  std::size_t bound_checked = 0;  ///< bound keys compared with marginal_gain
+};
+
+/// Runs the campaign with `threads` pool workers (0 = no pool). With
+/// `check`, every batch must equal uncached batch_select, and after every
+/// batch and again after its notifications each clean score must equal
+/// marginal_gain bit for bit and each bound key must be no lower.
+BallCampaign ball_campaign(const Problem& p, MarginalPolicy policy, bool costs,
+                           unsigned threads, bool check) {
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+  const sim::World w(p, 99);
+  Observation obs(p);
+  CachedSelector cached(obs, policy, costs, pool.get());
+  BallCampaign out;
+  const auto check_scores = [&] {
+    expect_clean_scores_exact(cached, obs, policy, costs);
+    for (NodeId u = 0; u < p.graph.num_nodes(); ++u) {
+      const auto bound = cached.bound_key(u);
+      if (obs.is_friend(u) || !bound) continue;
+      double exact = marginal_gain(obs, u, policy);
+      if (costs) exact /= p.cost_of(u);
+      EXPECT_GE(*bound, exact) << "bound node " << u;
+      ++out.bound_checked;
+    }
+  };
+  FrontierWork before{0, 0, 0};
+  double budget = 60.0;
+  while (budget > 0) {
+    BatchSelectOptions bs;
+    bs.batch_size = 5;
+    bs.policy = policy;
+    bs.cost_sensitive = costs;
+    bs.max_attempts_per_node = 1;
+    bs.remaining_budget = budget;
+    const auto reference = check ? batch_select(obs, bs) : std::vector<NodeId>{};
+    const auto batch = cached.select_batch(5, false, 1, budget);
+    const FrontierWork now{cached.frontier_push_count(), cached.frontier_pop_count(),
+                           cached.rescore_count()};
+    out.work.push_back({now.pushes - before.pushes, now.pops - before.pops,
+                        now.rescores - before.rescores});
+    before = now;
+    if (check) {
+      EXPECT_EQ(batch, reference) << "batch " << out.work.size() - 1;
+      check_scores();
+    }
+    if (batch.empty()) break;
+    out.accepted.emplace_back();
+    out.rejected.emplace_back();
+    for (const NodeId u : batch) {
+      if (w.attempt_accept(u, obs.attempts(u), obs.acceptance_prob(u))) {
+        obs.record_accept(u, w.true_neighbors(u));
+        cached.notify_accept(u);
+        out.accepted.back().push_back(u);
+      } else {
+        obs.record_reject(u);
+        cached.notify_reject(u);
+        out.rejected.back().push_back(u);
+      }
+      budget -= p.cost_of(u);
+    }
+    if (check) check_scores();
+  }
+  return out;
+}
+
+class BoundEntries
+    : public ::testing::TestWithParam<std::tuple<MarginalPolicy, double, bool, bool>> {};
+
+TEST_P(BoundEntries, BatchesMatchUncachedAndKeysBoundTheExactScores) {
+  const auto [policy, boost, costs, uniform] = GetParam();
+  const Problem p = ball_problem(boost, costs, uniform);
+  const BallCampaign run = ball_campaign(p, policy, costs, 0, true);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_GE(run.work.size(), 6u);
+  EXPECT_GT(run.bound_checked, 0u);  // the sweep reaches the bound state
+  // Settling, re-keying and its fan-out do not depend on the pool size.
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(ball_campaign(p, policy, costs, threads, false).work, run.work)
+        << threads << " workers";
+  }
+}
+
+std::string bound_entries_case_name(
+    const ::testing::TestParamInfo<BoundEntries::ParamType>& case_info) {
+  const auto [policy, boost, costs, uniform] = case_info.param;
+  return std::string(policy == MarginalPolicy::kWeighted ? "Weighted" : "PaperLiteral") +
+         (boost > 0.0 ? "_Boost" : "") + (costs ? "_Costs" : "") +
+         (uniform ? "_UniformTies" : "_PaperBenefit");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, BoundEntries,
+    ::testing::Combine(::testing::Values(MarginalPolicy::kWeighted,
+                                         MarginalPolicy::kPaperLiteral),
+                       ::testing::Values(0.0, 0.2), ::testing::Bool(), ::testing::Bool()),
+    bound_entries_case_name);
+
+TEST(CachedSelector, BoundEntriesRescoreLessThanTheEagerWalk) {
+  // Before batch b the eager walk rescored each candidate it marked for
+  // batch b - 1's outcomes: the rejected nodes, each accepted node x and
+  // its neighbors, and the neighbors of each neighbor that just turned FoF
+  // while carrying FoF benefit. Without retries a candidate is a node never
+  // requested. Settling rescores a bound node only when it nears the heap
+  // top, so batches 2+ rescore fewer.
+  const Problem p = ball_problem(0.2, false, false);
+  const BallCampaign run = ball_campaign(p, MarginalPolicy::kWeighted, false, 0, false);
+  ASSERT_GE(run.work.size(), 6u);
+
+  const auto& g = p.graph;
+  const sim::World w(p, 99);
+  Observation obs(p);
+  std::vector<std::uint8_t> requested(g.num_nodes(), 0);
+  std::vector<std::uint8_t> expanded(g.num_nodes(), 0);
+  std::vector<std::size_t> marked_in(g.num_nodes(), 0);
+  std::uint64_t eager = 0;
+  std::uint64_t lazy = 0;
+  for (std::size_t b = 1; b < run.work.size(); ++b) {
+    for (const auto* outcome : {&run.accepted[b - 1], &run.rejected[b - 1]}) {
+      for (const NodeId x : *outcome) requested[x] = 1;
+    }
+    const auto mark = [&](NodeId u) {
+      if (marked_in[u] != b) {
+        marked_in[u] = b;
+        eager += requested[u] ? 0 : 1;
+      }
+    };
+    for (const NodeId x : run.accepted[b - 1]) {
+      obs.record_accept(x, w.true_neighbors(x));
+      for (const NodeId v : g.neighbors(x)) {
+        mark(v);
+        if (expanded[v] || p.benefit.bfof[v] == 0.0 || !obs.is_fof(v)) continue;
+        expanded[v] = 1;
+        for (const NodeId u : g.neighbors(v)) mark(u);
+      }
+    }
+    lazy += run.work[b].rescores;
+  }
+  EXPECT_LT(lazy, eager) << "rescored " << lazy << " of " << eager;
 }
 
 }  // namespace

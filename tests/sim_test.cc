@@ -2,6 +2,8 @@
 // problem construction and target selection.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "sim/problem.h"
@@ -58,6 +60,39 @@ TEST(BenefitModel, ValidationCatchesViolations) {
   m = make_uniform_benefit(g);
   m.bi[0] = -1.0;
   EXPECT_THROW(m.validate(g), std::invalid_argument);
+}
+
+// NaN passes every `< 0.0` and `>` test, and an infinite benefit or cost
+// makes a score inf or NaN; either would break the cached selector's
+// upper-bound keys, so each field rejects both.
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()};
+
+TEST(BenefitModel, ValidationRejectsNonFiniteFriendBenefit) {
+  const Graph g = path4();
+  for (const double bad : kNonFinite) {
+    BenefitModel m = make_uniform_benefit(g);
+    m.bf[2] = bad;
+    EXPECT_THROW(m.validate(g), std::invalid_argument) << bad;
+  }
+}
+
+TEST(BenefitModel, ValidationRejectsNonFiniteFofBenefit) {
+  const Graph g = path4();
+  for (const double bad : kNonFinite) {
+    BenefitModel m = make_uniform_benefit(g);
+    m.bfof[2] = bad;
+    EXPECT_THROW(m.validate(g), std::invalid_argument) << bad;
+  }
+}
+
+TEST(BenefitModel, ValidationRejectsNonFiniteEdgeBenefit) {
+  const Graph g = path4();
+  for (const double bad : kNonFinite) {
+    BenefitModel m = make_uniform_benefit(g);
+    m.bi[1] = bad;
+    EXPECT_THROW(m.validate(g), std::invalid_argument) << bad;
+  }
 }
 
 TEST(BenefitBreakdown, Arithmetic) {
@@ -196,6 +231,17 @@ TEST(Problem, ValidateCatchesBadCost) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p.cost.assign(3, 1.0);
   EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(Problem, ValidateRejectsNonFiniteCost) {
+  ProblemOptions opts;
+  opts.num_targets = 5;
+  Problem p = make_problem(graph::erdos_renyi_gnm(20, 40, 1), opts);
+  for (const double bad : kNonFinite) {
+    p.cost.assign(20, 1.0);
+    p.cost[3] = bad;
+    EXPECT_THROW(p.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Problem, TargetCountClamped) {
