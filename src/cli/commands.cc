@@ -767,7 +767,9 @@ graph::GraphBinaryWriteOptions parse_layout(const util::Args& args) {
 
 /// Loads --in as either a binary `#recon-graph v1` file (mmap) or a text
 /// edge list, sniffed by magic. --no-verify skips the binary checksum +
-/// structure validation (trusted reopens of files this tool just wrote).
+/// structure validation (trusted reopens of files this tool just wrote);
+/// a trusted file is assumed to hold every structural property validation
+/// checks, the (u, v)-sorted edge list (graph/graph.h) included.
 graph::Graph load_graph_arg(const util::Args& args) {
   const std::string path = args.get("in", "");
   if (path.empty()) throw std::invalid_argument("--in FILE is required");
@@ -961,7 +963,8 @@ void print_usage(std::ostream& out) {
          "            gen     --model ba|er --nodes N --out BIN [--m M|--edges E]\n"
          "                    [--probs const|uniform|beta ...] [--seed S]\n"
          "            (--graph everywhere auto-detects text vs binary;\n"
-         "             binary opens add --no-verify to skip checksum+validation)\n"
+         "             binary opens add --no-verify to skip checksum+validation;\n"
+         "             the file must then be well formed, edges sorted by (u, v))\n"
          "  serve     campaign service daemon: problem + thread pool stay\n"
          "            resident; many concurrent campaigns run over a line\n"
          "            protocol (SUBMIT/STATUS/LIST/PAUSE/RESUME/CANCEL/WAIT/\n"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <queue>
 
 #include "core/lazy_greedy.h"
@@ -86,6 +85,16 @@ void score_empty(const sim::Problem& problem, MarginalPolicy policy, bool cost_s
   }
 }
 
+/// Γ₀ base scores of every node into out (size n), through the
+/// whole-graph pass, divided by cost as score_empty divides them.
+void score_empty_all(const sim::Problem& problem, MarginalPolicy policy,
+                     bool cost_sensitive, std::span<double> out, util::ThreadPool* pool) {
+  empty_marginal_gains_all(problem, policy, out, pool);
+  if (cost_sensitive) {
+    for (NodeId u = 0; u < problem.graph.num_nodes(); ++u) out[u] /= problem.cost_of(u);
+  }
+}
+
 }  // namespace
 
 std::shared_ptr<EmptyScores> compute_empty_scores(const sim::Problem& problem,
@@ -96,17 +105,8 @@ std::shared_ptr<EmptyScores> compute_empty_scores(const sim::Problem& problem,
   memo->problem = &problem;
   memo->policy = policy;
   memo->cost_sensitive = cost_sensitive;
-  std::vector<NodeId> nodes(problem.graph.num_nodes());
-  std::iota(nodes.begin(), nodes.end(), NodeId{0});
-  memo->scores.assign(nodes.size(), 0.0);
-  const std::span<const NodeId> all(nodes);
-  if (pool != nullptr) {
-    pool->parallel_for(0, nodes.size(), [&](std::size_t lo, std::size_t hi) {
-      score_empty(problem, policy, cost_sensitive, all.subspan(lo, hi - lo), memo->scores);
-    });
-  } else {
-    score_empty(problem, policy, cost_sensitive, all, memo->scores);
-  }
+  memo->scores.resize(problem.graph.num_nodes());
+  score_empty_all(problem, policy, cost_sensitive, memo->scores, pool);
   return memo;
 }
 
@@ -324,7 +324,16 @@ void CachedSelector::refresh_full() {
   }
   // Inadmissible dirty nodes keep their state for a later full refresh.
   dirty_list_.clear();
-  rescore(stale);
+  if (obs_->pristine() && empty_ == nullptr && 2 * stale.size() > n) {
+    // Most of the graph is stale: one whole-graph Γ₀ pass costs less than
+    // the subset kernel. It rewrites every slot, each with the score a
+    // pristine rescore gives it, so clean slots keep their bits.
+    score_empty_all(obs_->problem(), policy_, cost_sensitive_, cached_, pool_);
+    for (const NodeId u : stale) dirty_[u] = kClean;
+    rescores_.fetch_add(stale.size(), std::memory_order_relaxed);
+  } else {
+    rescore(stale);
+  }
 
   std::size_t out = 0;
   for (const Slot& s : heap_) {

@@ -68,9 +68,12 @@
 // The first batch. A campaign's first refresh_full scores the whole
 // frontier on an empty observation (Observation::pristine(): no friend, no
 // revealed edge — rejects and no-responses keep it so). There every per-arc
-// state load of marginal_gain is a constant, so a pristine rescore runs the
-// state-free Γ₀ pass, empty_marginal_gains (core/marginal.h), which reads
-// only the problem and is bit-identical to marginal_gain; any other
+// state load of marginal_gain is a constant, so a pristine rescore reads
+// only the problem, bit-identical to marginal_gain: a full refresh with
+// most of the graph stale runs the whole-graph edge-major pass,
+// empty_marginal_gains_all (core/marginal.h), with one owner range per
+// pool participant; a shorter pristine dirty list (after a batch of
+// rejects) runs the subset kernel, empty_marginal_gains. Any other
 // observation takes the marginal_gain path. When the selector was handed a
 // Γ₀ memo (EmptyScores) built for its problem, policy and cost mode, a
 // pristine rescore copies the memo instead of scoring: a service-resident
@@ -123,7 +126,8 @@ struct EmptyScores {
   std::vector<double> scores;  ///< size n, cost-adjusted when cost_sensitive
 };
 
-/// Builds the Γ₀ memo of `problem` (one pool fan-out when `pool` is set).
+/// Builds the Γ₀ memo of `problem` through the whole-graph pass (one owner
+/// range per participant of `pool`, when set).
 std::shared_ptr<EmptyScores> compute_empty_scores(const sim::Problem& problem,
                                                   MarginalPolicy policy,
                                                   bool cost_sensitive,

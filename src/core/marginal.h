@@ -21,6 +21,10 @@
 #include "sim/observation.h"
 #include "sim/problem.h"
 
+namespace recon::util {
+class ThreadPool;
+}
+
 namespace recon::core {
 
 enum class MarginalPolicy { kWeighted, kPaperLiteral };
@@ -37,5 +41,18 @@ double marginal_gain(const sim::Observation& obs, graph::NodeId u,
 /// terms in the same order), without its per-arc state loads.
 void empty_marginal_gains(const sim::Problem& problem, MarginalPolicy policy,
                           std::span<const graph::NodeId> nodes, std::span<double> out);
+
+/// Γ₀(u) = Δf(u | ∅) for every node, written to out[u] (`out` has size n):
+/// the whole-graph form of empty_marginal_gains, scored edge-major. Each
+/// participant — the caller and every `pool` worker, or the caller alone
+/// without a pool — owns one contiguous node range, walks the (u, v)-sorted
+/// edge list upward from edge 0 until edge_u reaches the range's end, and
+/// adds each edge's two terms to its owned endpoints, straight into `out`.
+/// The graph's edge order (graph/graph.h) makes that the order of each
+/// node's CSR row, so every score is bit-identical to empty_marginal_gains,
+/// whatever the pool size. Ranges balance the scanned prefix plus the owned
+/// degree, one per participant.
+void empty_marginal_gains_all(const sim::Problem& problem, MarginalPolicy policy,
+                              std::span<double> out, util::ThreadPool* pool = nullptr);
 
 }  // namespace recon::core

@@ -12,7 +12,9 @@ namespace recon::graph {
 ///
 /// Duplicate edges (in either orientation) are merged: the *maximum*
 /// probability wins, matching the "most optimistic link prediction"
-/// convention. Self-loops are rejected.
+/// convention. Self-loops are rejected. Every graph built here has its
+/// edge ids strictly ascending by (edge_u, edge_v), so every row's edge ids
+/// ascend too (the edge-order invariant of graph/graph.h).
 class GraphBuilder {
  public:
   /// Creates a builder for `num_nodes` nodes.

@@ -470,6 +470,10 @@ void validate_structure(const util::MappedFile& mf, const HeaderFields& h,
     if (p.eu[e] >= p.ev[e] || p.ev[e] >= n) {
       fail(path, "edge " + std::to_string(e) + " has invalid endpoints");
     }
+    if (e > 0 && (p.eu[e - 1] > p.eu[e] ||
+                  (p.eu[e - 1] == p.eu[e] && p.ev[e - 1] >= p.ev[e]))) {
+      fail(path, "edge " + std::to_string(e) + " out of (u, v) order");
+    }
     const double pe = p.prob[e];
     if (!(pe >= 0.0 && pe <= 1.0)) {
       fail(path, "edge " + std::to_string(e) + " probability outside [0,1]");

@@ -25,8 +25,9 @@
 // header_checksum covers bytes [0, 80), payload_checksum covers every byte
 // from the first section to end-of-file (padding included). The header
 // checksum is always verified at open; payload verification and structural
-// validation (offset monotonicity, id bounds, row sortedness, CSR/edge-list
-// cross-consistency, probability range, remap bijectivity) are on by
+// validation (offset monotonicity, id bounds, row sortedness, (u, v) order
+// of the edge list, CSR/edge-list cross-consistency, probability range,
+// remap bijectivity) are on by
 // default and can be disabled for minimum-latency opens of trusted files.
 //
 // Degree-sorted layout: the writer can relabel nodes by (degree descending,
@@ -59,9 +60,10 @@ struct GraphBinaryReadOptions {
   /// Verify the payload checksum at open. Touches every page (trades away
   /// mmap laziness for end-to-end corruption detection).
   bool verify_checksum = true;
-  /// Validate CSR structure (bounds, sortedness, cross-consistency). Keeps
-  /// a malicious or torn file from ever producing an out-of-bounds node or
-  /// edge id downstream.
+  /// Validate CSR structure (bounds, sorted rows and edge list,
+  /// cross-consistency). Keeps a malicious or torn file from ever producing
+  /// an out-of-bounds node or edge id, or an edge order the edge-major
+  /// kernels do not expect, downstream.
   bool validate_structure = true;
 };
 

@@ -122,9 +122,8 @@ struct EdgeProbModel {
 /// Returns g with its edge probabilities drawn from the model, in EdgeId
 /// order, clamped to [0, 1]; a NaN draw throws std::invalid_argument.
 /// Topology, attributes, orig ids and edge ids are kept; only the
-/// probability array is replaced. Edge ids stay as given, not re-sorted by
-/// (u, v); that differs from a rebuild only for a graph whose edge list is
-/// not (u, v)-ordered, such as a hand-written binary file. Pass an rvalue
+/// probability array is replaced, so the (u, v) edge order of graph/graph.h
+/// carries over. Pass an rvalue
 /// to avoid copying the CSR. The structural model counts each
 /// |N(u) ∩ N(v)| exactly in O(Σ_e min(deg u, deg v)).
 Graph assign_edge_probs(Graph g, const EdgeProbModel& model, std::uint64_t seed);

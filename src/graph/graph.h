@@ -18,6 +18,16 @@
 // The two backings are indistinguishable through the public API and produce
 // bit-identical results everywhere (same arrays, same iteration order).
 //
+// Edge order: the edge list is strictly ascending by (edge_u, edge_v), and
+// every row lists its neighbours in ascending order. Together they make
+// every row's edge ids strictly ascending: row x holds first its edges
+// (v, x) with v < x, ascending in v, then its edges (x, v), ascending in v.
+// GraphBuilder establishes this for every graph it builds, and the binary
+// loader refuses a validated file without it; trusted (unvalidated) opens
+// assume it like every other structural property. Edge-major kernels rely
+// on it: one ascending pass over edge ids visits each node's incident edges
+// in its row order (core::empty_marginal_gains_all).
+//
 // Relabeled graphs: a degree-sorted binary file stores the graph under new
 // ids together with the new->old map; orig_id(u) recovers a node's original
 // (pre-remap) id, and is the identity for graphs that were never relabeled.
@@ -74,6 +84,11 @@ class Graph {
     return static_cast<NodeId>(off_p_[u + 1] - off_p_[u]);
   }
 
+  /// Adjacency slots of the nodes below u, for u <= num_nodes() (the CSR
+  /// row offset): arc_offset(hi) - arc_offset(lo) is the total degree of
+  /// the nodes in [lo, hi).
+  std::uint64_t arc_offset(NodeId u) const noexcept { return off_p_[u]; }
+
   /// Existence probability of undirected edge e.
   double edge_prob(EdgeId e) const noexcept { return prob_p_[e]; }
 
@@ -83,7 +98,8 @@ class Graph {
     return {prob_p_, num_edges_};
   }
 
-  /// Endpoints of undirected edge e, with endpoint_u < endpoint_v.
+  /// Endpoints of undirected edge e, with endpoint_u < endpoint_v. Edge ids
+  /// are ordered by (edge_u, edge_v), strictly ascending.
   NodeId edge_u(EdgeId e) const noexcept { return eu_p_[e]; }
   NodeId edge_v(EdgeId e) const noexcept { return ev_p_[e]; }
 

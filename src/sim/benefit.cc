@@ -45,10 +45,14 @@ BenefitModel make_paper_benefit(const graph::Graph& g,
   }
   const double m = g.max_expected_degree();
   const double denom = m > 0.0 ? m : 1.0;
+  // Bi takes one of three values; each is computed once, by the per-edge
+  // formula, so every entry keeps the bits that formula gives it.
+  double by_targets[3];
+  for (int in_t = 0; in_t < 3; ++in_t) by_targets[in_t] = std::pow(2.0, in_t) / denom;
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const int in_t =
         (is_target[g.edge_u(e)] ? 1 : 0) + (is_target[g.edge_v(e)] ? 1 : 0);
-    model.bi[e] = std::pow(2.0, in_t) / denom;
+    model.bi[e] = by_targets[in_t];
   }
   return model;
 }

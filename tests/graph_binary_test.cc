@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -291,6 +292,83 @@ TEST(GraphBinary, RandomMutationsNeverCrash) {
   std::remove(path.c_str());
 }
 
+/// Reads a little-endian u64 of a byte image.
+std::uint64_t word_at(const std::vector<char>& bytes, std::size_t offset) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, bytes.data() + offset, sizeof w);
+  return w;
+}
+
+/// Byte offset of section `id` in a `#recon-graph v1` image (header layout
+/// in graph/format.h: magic, 8 header words, then the section table).
+std::size_t section_offset(const std::vector<char>& bytes, std::uint64_t id) {
+  const std::uint64_t count = word_at(bytes, 24 + 5 * 8);
+  for (std::uint64_t s = 0; s < count; ++s) {
+    const std::size_t entry = 88 + static_cast<std::size_t>(s) * 24;
+    if (word_at(bytes, entry) == id) return static_cast<std::size_t>(word_at(bytes, entry + 8));
+  }
+  ADD_FAILURE() << "no section " << id;
+  return 0;
+}
+
+/// Recomputes the payload and header checksums after an edit, so only the
+/// structural validation can refuse the file.
+void reseal(std::vector<char>& bytes) {
+  const std::size_t payload_start = 88 + word_at(bytes, 24 + 5 * 8) * 24;
+  const std::uint64_t payload =
+      fnv64_words(bytes.data() + payload_start, bytes.size() - payload_start);
+  std::memcpy(bytes.data() + 72, &payload, sizeof payload);
+  const std::uint64_t header = fnv64_words(bytes.data(), 80);
+  std::memcpy(bytes.data() + 80, &header, sizeof header);
+}
+
+TEST(GraphBinary, RefusesEdgeListOutOfOrder) {
+  // Swapping two edge ids everywhere (endpoints, probability, every CSR
+  // slot naming them) keeps each row and the CSR/edge-list cross-check
+  // consistent; only the (u, v) order of the edge list breaks.
+  const Graph g = dyadic_graph(30, 60, 37);
+  const std::string path = temp_path("edge_order.bin");
+  GraphBinaryWriteOptions wo;
+  wo.layout = GraphLayout::kKeep;
+  write_graph_binary_file(path, g, wo);
+  std::vector<char> bytes = read_bytes(path);
+  reseal(bytes);  // a reseal alone changes nothing
+  write_bytes(path, bytes);
+  EXPECT_NO_THROW(map_graph_binary_file(path));
+
+  const EdgeId a = 2;
+  const EdgeId b = 5;
+  const std::size_t eid = section_offset(bytes, 3);
+  const std::size_t prob = section_offset(bytes, 4);
+  const std::size_t eu = section_offset(bytes, 5);
+  const std::size_t ev = section_offset(bytes, 6);
+  auto swap_bytes = [&](std::size_t base, std::size_t width) {
+    std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(base + a * width),
+                     bytes.begin() + static_cast<std::ptrdiff_t>(base + (a + 1) * width),
+                     bytes.begin() + static_cast<std::ptrdiff_t>(base + b * width));
+  };
+  swap_bytes(eu, sizeof(NodeId));
+  swap_bytes(ev, sizeof(NodeId));
+  swap_bytes(prob, sizeof(double));
+  for (std::size_t slot = 0; slot < 2 * static_cast<std::size_t>(g.num_edges()); ++slot) {
+    EdgeId e = 0;
+    std::memcpy(&e, bytes.data() + eid + slot * sizeof e, sizeof e);
+    if (e != a && e != b) continue;
+    e = e == a ? b : a;
+    std::memcpy(bytes.data() + eid + slot * sizeof e, &e, sizeof e);
+  }
+  reseal(bytes);
+  write_bytes(path, bytes);
+  try {
+    (void)map_graph_binary_file(path);
+    ADD_FAILURE() << "a file with its edge list out of (u, v) order was accepted";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("out of (u, v) order"), std::string::npos)
+        << err.what();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(GraphBinary, StreamingGeneratorsProduceValidDeterministicFiles) {
   const std::string p1 = temp_path("stream_er1.bin");
   const std::string p2 = temp_path("stream_er2.bin");
@@ -349,6 +427,87 @@ TEST(GraphBinary, StreamedBarabasiAlbertBytesArePinned) {
         << "model kind " << static_cast<int>(pin.model.kind);
   }
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Edge order: every way a graph is made leaves its edge list strictly
+// ascending by (u, v), and with it every row's edge ids strictly ascending
+// (graph/graph.h). The edge-major Γ₀ pass is exact only under that order.
+// ---------------------------------------------------------------------------
+
+void expect_edge_order(const Graph& g, const std::string& tag) {
+  ASSERT_GT(g.num_edges(), 0u) << tag;
+  for (EdgeId e = 1; e < g.num_edges(); ++e) {
+    const bool ascending = g.edge_u(e - 1) < g.edge_u(e) ||
+                           (g.edge_u(e - 1) == g.edge_u(e) && g.edge_v(e - 1) < g.edge_v(e));
+    ASSERT_TRUE(ascending) << tag << ": edge " << e;
+  }
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto eids = g.incident_edges(u);
+    for (std::size_t i = 1; i < eids.size(); ++i) {
+      ASSERT_LT(eids[i - 1], eids[i]) << tag << ": row " << u << " slot " << i;
+    }
+  }
+}
+
+TEST(GraphEdgeOrder, BuilderMergesDuplicatesIntoSortedEdges) {
+  GraphBuilder b(60);
+  util::Rng rng(41);
+  for (int i = 0; i < 500; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(60));
+    const auto v = static_cast<NodeId>(rng.below(60));
+    if (u != v) b.add_edge(u, v, rng.uniform(0.0, 1.0));
+  }
+  for (int i = 0; i < 40; ++i) b.add_edge(static_cast<NodeId>(i + 1), 0, 0.5);  // reversed duplicates
+  const Graph g = b.build();
+  ASSERT_LT(g.num_edges(), b.num_pending_edges());  // some were merged
+  expect_edge_order(g, "build");
+}
+
+TEST(GraphEdgeOrder, FromUniqueEdgesSortsShuffledInput) {
+  const Graph base = erdos_renyi_gnm(80, 300, 43);
+  std::vector<EdgeId> order(base.num_edges());
+  for (EdgeId e = 0; e < base.num_edges(); ++e) order[e] = e;
+  util::Rng rng(44);
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<NodeId> us, vs;
+  std::vector<double> ps;
+  for (const EdgeId e : order) {
+    us.push_back(base.edge_v(e));  // reversed orientation
+    vs.push_back(base.edge_u(e));
+    ps.push_back(0.5);
+  }
+  expect_edge_order(GraphBuilder::from_unique_edges(80, std::move(us), std::move(vs),
+                                                    std::move(ps)),
+                    "from_unique_edges");
+}
+
+TEST(GraphEdgeOrder, StreamedFilesRemapsAndReassignmentsKeepTheOrder) {
+  const std::string ba_path = temp_path("order_ba.bin");
+  const std::string er_path = temp_path("order_er.bin");
+  stream_barabasi_albert_binary(ba_path, 400, 4, EdgeProbModel::uniform(0.2, 0.9), 45);
+  stream_erdos_renyi_binary(er_path, 300, 900, EdgeProbModel::beta(2.0, 3.0), 46);
+  const Graph ba = map_graph_binary_file(ba_path);
+  const Graph er = map_graph_binary_file(er_path);
+  ASSERT_TRUE(ba.is_relabeled());
+  expect_edge_order(ba, "streamed ba");
+  expect_edge_order(er, "streamed er");
+
+  const Graph g = barabasi_albert(300, 3, 47);
+  expect_edge_order(remap_graph(g, degree_sort_permutation(g)), "remap_graph");
+  expect_edge_order(assign_edge_probs(ba, EdgeProbModel::structural(0.4, 0.5), 48),
+                    "assign_edge_probs on a mapped graph");
+  expect_edge_order(assign_attributes(er, 2, 5, 0.5, 49),
+                    "assign_attributes on a mapped graph");
+  std::remove(ba_path.c_str());
+  std::remove(er_path.c_str());
+}
+
+TEST(GraphEdgeOrder, TextEdgeListInAnyOrderLoadsSorted) {
+  std::istringstream in("# out of order, both orientations\n"
+                        "7 2 0.5\n5 1 0.25\n0 9 1.0\n3 0 0.5\n9 4 0.75\n"
+                        "2 3 0.5\n1 0 0.5\n8 6 1.0\n6 2 0.5\n4 1 0.5\n");
+  expect_edge_order(read_edge_list(in), "text edge list");
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "sim/world.h"
 #include "solver/saa.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace recon::core {
 namespace {
@@ -360,6 +362,89 @@ TEST(EmptyMarginalGains, PristineSurvivesRejectsButNotAnAccept) {
   }
   copy.restore(states, obs.edge_states(), attempts, obs.friends());
   EXPECT_FALSE(copy.pristine());
+}
+
+// The whole-graph edge-major pass must give every node marginal_gain's
+// bits on a fresh observation, with no pool and with 2, 3 and 5
+// participants, and the memo built through it must too.
+void expect_whole_pass_bit_identical(const Problem& p, const std::string& label) {
+  const NodeId n = p.graph.num_nodes();
+  const Observation obs(p);
+  ASSERT_TRUE(obs.pristine());
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    pools.push_back(std::make_unique<util::ThreadPool>(workers));
+  }
+  for (const MarginalPolicy policy :
+       {MarginalPolicy::kWeighted, MarginalPolicy::kPaperLiteral}) {
+    std::vector<double> ref(n);
+    for (NodeId u = 0; u < n; ++u) ref[u] = marginal_gain(obs, u, policy);
+    for (const auto& pool : pools) {
+      const std::string tag =
+          label + " workers=" + std::to_string(pool ? pool->size() : 0) +
+          (policy == MarginalPolicy::kWeighted ? " weighted" : " literal");
+      std::vector<double> gamma0(n, -1.0);
+      empty_marginal_gains_all(p, policy, gamma0, pool.get());
+      const auto memo =
+          compute_empty_scores(p, policy, /*cost_sensitive=*/!p.cost.empty(), pool.get());
+      ASSERT_EQ(memo->scores.size(), n) << tag;
+      for (NodeId u = 0; u < n; ++u) {
+        ASSERT_TRUE(same_bits(gamma0[u], ref[u]))
+            << tag << " node " << u << ": " << gamma0[u] << " vs " << ref[u];
+        const double scored = p.cost.empty() ? ref[u] : ref[u] / p.cost_of(u);
+        ASSERT_TRUE(same_bits(memo->scores[u], scored)) << tag << " memo node " << u;
+      }
+    }
+  }
+}
+
+TEST(EmptyMarginalGainsAll, BitIdenticalOnBarabasiAlbertAndErdosRenyi) {
+  for (const bool paper : {true, false}) {
+    const std::string tag = paper ? " paper" : " uniform";
+    expect_whole_pass_bit_identical(problem_over(ba_graph(13), 13, paper, 0.2), "ba" + tag);
+    expect_whole_pass_bit_identical(problem_over(er_graph(14), 14, paper, 0.0), "er" + tag);
+  }
+}
+
+TEST(EmptyMarginalGainsAll, BitIdenticalOnRelabeledGraph) {
+  const graph::Graph g = ba_graph(15);
+  expect_whole_pass_bit_identical(
+      problem_over(graph::remap_graph(g, graph::degree_sort_permutation(g)), 15, true, 0.1),
+      "relabeled");
+}
+
+TEST(EmptyMarginalGainsAll, BitIdenticalWithCostsAndZeroProbabilityEdges) {
+  graph::Graph g = er_graph(16);
+  std::vector<double> probs(g.edge_probs().begin(), g.edge_probs().end());
+  for (std::size_t e = 0; e < probs.size(); e += 3) probs[e] = 0.0;
+  g.set_edge_probs(std::move(probs));
+  Problem p = problem_over(std::move(g), 16, true, 0.15);
+  expect_whole_pass_bit_identical(p, "p=0");
+  util::Rng rng(16);
+  p.cost.resize(p.graph.num_nodes());
+  for (double& c : p.cost) c = rng.uniform(0.5, 3.0);
+  p.validate();
+  expect_whole_pass_bit_identical(p, "p=0 costs");
+}
+
+TEST(EmptyMarginalGainsAll, IsolatedNodesAndMoreParticipantsThanNodes) {
+  // Three nodes under five participants leave ranges empty; node 1 and
+  // the last nodes of the wider graph have no edge at all.
+  for (const NodeId n : {NodeId{3}, NodeId{40}}) {
+    GraphBuilder b(n);
+    b.add_edge(0, 2, 0.7);
+    for (NodeId u = 3; u + 8 < n; ++u) b.add_edge(u, u + 1 + u % 5, 0.1 + 0.02 * u);
+    Problem p;
+    p.graph = b.build();
+    for (NodeId u = 0; u < n; u += 2) p.targets.push_back(u);
+    p.is_target.assign(n, 0);
+    for (const NodeId t : p.targets) p.is_target[t] = 1;
+    p.benefit = sim::make_paper_benefit(p.graph, p.is_target);
+    p.acceptance = sim::make_constant_acceptance(0.3);
+    p.validate();
+    expect_whole_pass_bit_identical(p, "n=" + std::to_string(n));
+  }
 }
 
 }  // namespace

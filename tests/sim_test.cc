@@ -2,6 +2,8 @@
 // problem construction and target selection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "graph/builder.h"
@@ -37,6 +39,29 @@ TEST(BenefitModel, PaperModelValues) {
   EXPECT_DOUBLE_EQ(m.bi[g.find_edge(1, 2)], 4.0);
   EXPECT_DOUBLE_EQ(m.bi[g.find_edge(2, 3)], 2.0);
   m.validate(g);
+}
+
+TEST(BenefitModel, PaperEdgeBenefitIsThePerEdgeFormulaBitForBit) {
+  // A non-dyadic M, so 2^t / M rounds, and every target count on some edge.
+  const Graph g = graph::assign_edge_probs(graph::barabasi_albert(400, 3, 21),
+                                           graph::EdgeProbModel::uniform(0.1, 0.9), 22);
+  std::vector<std::uint8_t> is_target(g.num_nodes(), 0);
+  for (NodeId u = 0; u < g.num_nodes(); u += 3) is_target[u] = 1;
+  const BenefitModel m = make_paper_benefit(g, is_target);
+  const double denom = g.max_expected_degree();
+  ASSERT_GT(denom, 0.0);
+  ASSERT_NE(denom, std::exp2(std::round(std::log2(denom))));
+  int seen[3] = {0, 0, 0};
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const int in_t = (is_target[g.edge_u(e)] ? 1 : 0) + (is_target[g.edge_v(e)] ? 1 : 0);
+    const double expected = std::pow(2.0, in_t) / denom;
+    ASSERT_EQ(std::memcmp(&m.bi[e], &expected, sizeof expected), 0)
+        << "edge " << e << ": " << m.bi[e] << " vs " << expected;
+    ++seen[in_t];
+  }
+  EXPECT_GT(seen[0], 0);
+  EXPECT_GT(seen[1], 0);
+  EXPECT_GT(seen[2], 0);
 }
 
 TEST(BenefitModel, UniformModel) {
